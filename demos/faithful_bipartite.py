@@ -4,9 +4,10 @@ Faithful realization of a bipartite graph
 
 Faithful means both directions: edges at distance exactly one AND every
 non-edge strictly away from one. For a bipartite graph whose A side has
-maximum degree d and no d-fold shared neighborhoods, the construction
-places the B side as near-orthogonal unit vectors in R^d and intersects
-unit spheres for the A side.
+maximum degree d and no three degree-d vertices sharing a neighborhood, the
+construction samples the B side as a flat cluster of diameter 0.1 in
+general position and puts each A vertex on the sphere of points at unit
+distance from all of its neighbors.
 """
 
 import numpy as np

@@ -33,19 +33,15 @@ from .embed import (
     Embedding,
     FlatnessBudget,
     HSystem,
-    MARGIN_NONEDGE,
     RealizationError,
-    TOL_CONSTRUCT,
     growth_dimension,
+    place_on_spheres,
     realize_hsystem,
+    verified_witness,
 )
-from .geometry import complementary_sphere, minimal_sphere, sphere_point
 from .graphs import Graph, bipartition_of, graph_to_json
-from .verify import verify
 
 _CHAIN_NODE_CAP = 100_000
-_PLACE_MARGIN = 2.5e-4
-_PLACE_SEP = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,10 +64,7 @@ class AuditReport:
             "k_upper": self.k_upper,
             "s": self.s,
             "rule_chain": [dict(r) for r in self.rule_chain],
-            "embedding": None if self.embedding is None else {
-                "dim": self.embedding.dim,
-                "points": self.embedding.points.tolist(),
-            },
+            "embedding": None if self.embedding is None else self.embedding.to_dict(),
         }
 
     def to_json(self) -> str:
@@ -181,11 +174,7 @@ def _chain_search(h: HSystem, node_cap: int = _CHAIN_NODE_CAP) -> list:
 
 def k_lower_bound(h: HSystem) -> int:
     """Certified lower bound on the sphere dimension of any realization."""
-    best = 1 if h.m >= 3 else 0
-    chain = _chain_search(h)
-    if chain:
-        best = max(best, len(chain) - 2)
-    return best
+    return _lower_rules(h, "A")[0]
 
 
 def _lower_rules(h: HSystem, side: str) -> tuple:
@@ -220,29 +209,6 @@ def _required_dimension(s: int, k_lower: int):
 # upper side: witness construction
 
 
-def _pad(points: np.ndarray, dim: int) -> np.ndarray:
-    extra = dim - points.shape[1]
-    if extra <= 0:
-        return points
-    return np.hstack([points, np.zeros((points.shape[0], extra))])
-
-
-def _audit_margins(y, others, margin=_PLACE_MARGIN, sep=_PLACE_SEP) -> bool:
-    if len(others) == 0:
-        return True
-    arr = np.asarray(others)
-    dd = np.linalg.norm(arr - y, axis=1)
-    return bool(dd.min() >= sep and np.abs(dd - 1.0).min() >= margin)
-
-
-def _place_near_sphere(sph, rng, surroundings, tries=200):
-    for _ in range(tries):
-        y = sphere_point(sph, rng)
-        if _audit_margins(y, surroundings):
-            return y
-    return None
-
-
 def _construct_side(g: Graph, d_query: int, cond_side, ground, h: HSystem,
                     seed: int):
     """Witness embedding via H-system realization plus sphere placement.
@@ -274,101 +240,14 @@ def _construct_side(g: Graph, d_query: int, cond_side, ground, h: HSystem,
         if k_alg != k:
             continue
         rng = np.random.default_rng([seed, attempt, 77])
-        bpts = _pad(r * unit_pts, d_up)
-        placed = _place_audit(g, cond_side, nbhds, bpts, d_up, rng)
+        bpts = np.pad(r * unit_pts, ((0, 0), (0, d_up - unit_pts.shape[1])))
+        placed = place_on_spheres(nbhds, bpts, d_up, rng)
         if placed is None:
             continue
-        points = np.zeros((g.n, d_up))
-        for v, i in index.items():
-            points[v] = bpts[i]
-        for v, y in placed.items():
-            points[v] = y
-        try:
-            emb = Embedding(dim=d_query, points=_pad(points, d_query))
-        except ValueError:
-            continue
-        report = verify(g, emb, mode="faithful", tol=TOL_CONSTRUCT)
-        if report.passed and _min_nonedge_margin(g, emb.points) >= MARGIN_NONEDGE:
+        emb = verified_witness(g, d_query, ground, bpts, placed)
+        if emb is not None:
             return emb, {"k": k_alg, "s": s, "dim_constructed": d_up, "r": r}
     return None
-
-
-def _min_nonedge_margin(g: Graph, points: np.ndarray) -> float:
-    best = math.inf
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if not g.has_edge(i, j):
-                dev = abs(float(np.linalg.norm(points[i] - points[j])) - 1.0)
-                best = min(best, dev)
-    return best
-
-
-def _place_audit(g, cond_side, nbhds, bpts, d_up, rng):
-    placed: dict = {}
-    m = bpts.shape[0]
-
-    def surroundings(v):
-        rows = [bpts[i] for i in range(m) if i not in nbhds[v]]
-        rows.extend(placed.values())
-        return rows
-
-    groups: dict = {}
-    for v in sorted(cond_side):
-        groups.setdefault(nbhds[v], []).append(v)
-
-    forced = []
-    sampled = []
-    for nb, verts in sorted(groups.items(), key=lambda kv: kv[1]):
-        if not nb:
-            sampled.extend((v, None) for v in verts)
-            continue
-        ms = minimal_sphere(bpts[sorted(nb)])
-        if ms.radius >= 1.0 - 1e-9:
-            # the neighborhood spans the whole unit sphere; the center is the
-            # only point at distance 1 from all of it
-            if len(verts) > 1:
-                return None
-            forced.append((verts[0], [ms.center]))
-            continue
-        comp = complementary_sphere(ms, d_up)
-        if comp.dim == 0:
-            u = comp.flat.basis[0]
-            poles = [comp.center + comp.radius * u, comp.center - comp.radius * u]
-            if len(verts) > 2:
-                return None
-            if len(verts) == 2:
-                forced.append((verts[0], [poles[0]]))
-                forced.append((verts[1], [poles[1]]))
-            else:
-                forced.append((verts[0], poles))
-        else:
-            sampled.extend((v, comp) for v in verts)
-
-    for v, candidates in forced:
-        chosen = None
-        for y in candidates:
-            if _audit_margins(y, surroundings(v)):
-                chosen = y
-                break
-        if chosen is None:
-            return None
-        placed[v] = chosen
-
-    for v, comp in sorted(sampled):
-        if comp is None:
-            center = bpts.mean(axis=0) if m else np.zeros(d_up)
-            y = None
-            for _ in range(200):
-                cand = center + 3.0 * np.eye(d_up)[0] + 0.3 * rng.normal(size=d_up)
-                if _audit_margins(cand, surroundings(v)):
-                    y = cand
-                    break
-        else:
-            y = _place_near_sphere(comp, rng, surroundings(v))
-        if y is None:
-            return None
-        placed[v] = y
-    return placed
 
 
 def faithful_dim_audit(g: Graph, d: int) -> AuditReport:
@@ -400,21 +279,24 @@ def faithful_dim_audit(g: Graph, d: int) -> AuditReport:
     )
     required = sides[lead]["required"]
 
-    if required is not None and d < required:
+    def without_witness(verdict: str) -> AuditReport:
         info = sides[lead]
         chain = list(info["rules"])
-        chain.append({
-            "rule": "s_offset",
-            "params": {"side": lead, "s": info["h"].s,
-                       "offset": required - info["k_lower"],
-                       "required_d": required},
-        })
-        k_up = lemedge2_guarantee(info["h"].sizes)[1]
+        if required is not None:
+            chain.append({
+                "rule": "s_offset",
+                "params": {"side": lead, "s": info["h"].s,
+                           "offset": required - info["k_lower"],
+                           "required_d": required},
+            })
         return AuditReport(
-            graph_id=gid, d_queried=d, verdict="NOT_REALIZABLE",
-            k_lower=info["k_lower"], k_upper=k_up, s=info["h"].s,
-            rule_chain=tuple(chain),
+            graph_id=gid, d_queried=d, verdict=verdict,
+            k_lower=info["k_lower"], k_upper=lemedge2_guarantee(info["h"].sizes)[1],
+            s=info["h"].s, rule_chain=tuple(chain),
         )
+
+    if required is not None and d < required:
+        return without_witness("NOT_REALIZABLE")
 
     for side in ("A", "B"):
         info = sides[side]
@@ -431,18 +313,4 @@ def faithful_dim_audit(g: Graph, d: int) -> AuditReport:
                 rule_chain=tuple(chain), embedding=emb,
             )
 
-    info = sides[lead]
-    chain = list(info["rules"])
-    if required is not None:
-        chain.append({
-            "rule": "s_offset",
-            "params": {"side": lead, "s": info["h"].s,
-                       "offset": required - info["k_lower"],
-                       "required_d": required},
-        })
-    k_up = lemedge2_guarantee(info["h"].sizes)[1]
-    return AuditReport(
-        graph_id=gid, d_queried=d, verdict="UNDECIDED",
-        k_lower=info["k_lower"], k_upper=k_up, s=info["h"].s,
-        rule_chain=tuple(chain),
-    )
+    return without_witness("UNDECIDED")

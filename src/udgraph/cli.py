@@ -41,7 +41,7 @@ from .graphs import (
     make_remark_graph,
 )
 from .solver import SolverConfig, solve_faithful
-from .verify import verify
+from .verify import classify_pairs, verify
 
 
 def _read_text(path: str | None) -> str:
@@ -213,8 +213,6 @@ def _isometric(pts):
 
 
 def _cmd_plot(args) -> int:
-    import numpy as np
-
     text = _read_text(args.embedding)
     doc = json.loads(text)
     graph = None
@@ -240,11 +238,9 @@ def _cmd_plot(args) -> int:
     if graph is not None:
         edges = sorted(graph.edges)
     else:
-        edges = []
-        for i in range(emb.n):
-            for j in range(i + 1, emb.n):
-                if abs(float(np.linalg.norm(emb.points[i] - emb.points[j])) - 1.0) <= 1e-6:
-                    edges.append((i, j))
+        p = classify_pairs(None, emb.points)
+        unit = p.dev <= 1e-6
+        edges = zip(p.i[unit].tolist(), p.j[unit].tolist())
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" height="{size:.0f}" '

@@ -33,11 +33,10 @@ from .geometry import (
     circumsphere,
     complementary_sphere,
     minimal_sphere,
-    pairwise_distances,
     sphere_point,
 )
 from .graphs import Graph, bipartition_of
-from .verify import verify
+from .verify import classify_pairs, verify
 
 TOL_CONSTRUCT = 1e-7  # edge-length tolerance the constructions are held to
 MARGIN_NONEDGE = 1e-4  # guaranteed non-edge clearance from unit length
@@ -71,12 +70,12 @@ class Embedding:
             raise ValueError(f"points are {pts.shape[1]}-dimensional, dim says {self.dim}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
-        if pts.shape[0] >= 2:
-            dist = pairwise_distances(pts)
-            off = dist + np.eye(pts.shape[0]) * 10.0
-            if off.min() <= TOL_DISTINCT:
-                i, j = divmod(int(off.argmin()), pts.shape[0])
-                raise ValueError(f"points {i} and {j} are not distinct (distance {off.min():.3e})")
+        p = classify_pairs(None, pts)
+        if p.dist.size and p.dist.min() <= TOL_DISTINCT:
+            k = int(p.dist.argmin())
+            raise ValueError(
+                f"points {p.i[k]} and {p.j[k]} are not distinct (distance {p.dist[k]:.3e})"
+            )
         object.__setattr__(self, "points", pts)
 
     @property
@@ -89,6 +88,9 @@ class Embedding:
             for row in self.points
         )
         return '{"dim": %d, "points": [%s]}' % (self.dim, rows)
+
+    def to_dict(self) -> dict:
+        return {"dim": self.dim, "points": self.points.tolist()}
 
 
 def embedding_from_json(text: str) -> Embedding:
@@ -243,10 +245,7 @@ def _cap_sample(m: int, k: int, spread: float, rng: np.random.Generator) -> np.n
         offsets = rng.uniform(-spread / 2.0, spread / 2.0, size=(m, k))
         pts = np.hstack([np.ones((m, 1)), offsets])
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        if m < 2:
-            return pts
-        dist = pairwise_distances(pts) + np.eye(m) * 10.0
-        if dist.min() > min_sep:
+        if classify_pairs(None, pts).dist.min(initial=np.inf) > min_sep:
             return pts
     raise RealizationError("could not sample distinct cap points")
 
@@ -357,11 +356,8 @@ def _b_cluster_ok(pts: np.ndarray, nbhds: list, d: int) -> bool:
     from itertools import combinations
 
     m = pts.shape[0]
-    dist = pairwise_distances(pts) + np.eye(m) * 10.0
-    if m >= 2 and dist.min() < 1e-3:
-        return False
-    diam = dist[dist < 5.0].max(initial=0.0)
-    if diam > B_DIAMETER:
+    dist = classify_pairs(None, pts).dist
+    if dist.min(initial=np.inf) < 1e-3 or dist.max(initial=0.0) > B_DIAMETER:
         return False
     # enclosing radius must stay clear of 1/2 (it is cluster-sized anyway)
     radius_hat = float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).max(initial=0.0))
@@ -410,16 +406,102 @@ def _b_cluster_ok(pts: np.ndarray, nbhds: list, d: int) -> bool:
     return True
 
 
-def _margins_ok(y: np.ndarray, others: np.ndarray, kind: str) -> bool:
-    """kind 'nonedge': distances must avoid 1; both kinds demand separation."""
+def _margins_ok(y: np.ndarray, others: np.ndarray) -> bool:
+    """y keeps _WORKING_SEP from every row of others and _SAMPLE_MARGIN away
+    from unit distance to each."""
     if others.shape[0] == 0:
         return True
     dd = np.linalg.norm(others - y, axis=1)
-    if dd.min() < _WORKING_SEP:
-        return False
-    if kind == "nonedge" and np.abs(dd - 1.0).min() < _SAMPLE_MARGIN:
-        return False
-    return True
+    return bool(dd.min() >= _WORKING_SEP and np.abs(dd - 1.0).min() >= _SAMPLE_MARGIN)
+
+
+def place_on_spheres(nbhds: dict, bpts: np.ndarray, dim: int,
+                     rng: np.random.Generator) -> dict | None:
+    """Place each vertex v at unit distance from the points bpts[nbhds[v]].
+
+    A neighborhood whose minimal sphere has radius 1 spans a great sphere,
+    and its one vertex goes to the center. A zero-dimensional complementary
+    sphere offers two poles: a lone vertex takes the first that clears the
+    margins, twins split them in vertex order. Every other vertex is sampled
+    on its complementary sphere, and one with an empty neighborhood far from
+    the cluster, up to 200 tries each. Each point must keep _WORKING_SEP from
+    and _SAMPLE_MARGIN off unit distance to its non-neighbors in bpts and to
+    everything placed before it. Returns {v: point}, or None when some vertex
+    finds no place.
+    """
+    m = bpts.shape[0]
+    placed: dict = {}
+
+    def surroundings(v) -> np.ndarray:
+        rows = [bpts[i] for i in range(m) if i not in nbhds[v]] + list(placed.values())
+        return np.asarray(rows).reshape(len(rows), dim)
+
+    groups: dict = {}
+    for v in sorted(nbhds):
+        groups.setdefault(nbhds[v], []).append(v)
+    forced = []
+    sampled = []
+    for nb, verts in sorted(groups.items(), key=lambda kv: kv[1]):
+        if not nb:
+            sampled.extend((v, None) for v in verts)
+            continue
+        ms = minimal_sphere(bpts[sorted(nb)])
+        if ms.radius >= 1.0 - 1e-9:
+            if len(verts) > 1:
+                return None
+            forced.append((verts[0], [ms.center]))
+            continue
+        comp = complementary_sphere(ms, dim)
+        if comp.dim != 0:
+            sampled.extend((v, comp) for v in verts)
+            continue
+        u = comp.flat.basis[0]
+        poles = [comp.center + comp.radius * u, comp.center - comp.radius * u]
+        if len(verts) > 2:
+            return None
+        if len(verts) == 2:
+            forced.extend([(verts[0], poles[:1]), (verts[1], poles[1:])])
+        else:
+            forced.append((verts[0], poles))
+
+    for v, candidates in forced:
+        others = surroundings(v)
+        y = next((c for c in candidates if _margins_ok(c, others)), None)
+        if y is None:
+            return None
+        placed[v] = y
+
+    far = (bpts.mean(axis=0) if m else np.zeros(dim)) + 3.0 * np.eye(dim)[0]
+    for v, comp in sorted(sampled, key=lambda vc: vc[0]):
+        others = surroundings(v)
+        for _ in range(200):
+            y = far + _ball_sample(0.3, dim, rng) if comp is None else sphere_point(comp, rng)
+            if _margins_ok(y, others):
+                placed[v] = y
+                break
+        else:
+            return None
+    return placed
+
+
+def verified_witness(g: Graph, dim: int, ground, bpts: np.ndarray,
+                     placed: dict) -> Embedding | None:
+    """g's embedding in R^dim with the ground vertices at the rows of bpts and
+    the placed ones at theirs, zero-padded; None unless it verifies faithfully
+    at TOL_CONSTRUCT with every non-edge MARGIN_NONEDGE clear of unit length."""
+    points = np.zeros((g.n, dim))
+    k = bpts.shape[1]
+    points[np.asarray(ground, dtype=int), :k] = bpts
+    for v, y in placed.items():
+        points[v, :k] = y
+    try:
+        emb = Embedding(dim=dim, points=points)
+    except ValueError:
+        return None
+    if not verify(g, emb, mode="faithful", tol=TOL_CONSTRUCT).passed:
+        return None
+    p = classify_pairs(g, emb.points)
+    return emb if p.dev[~p.edge].min(initial=math.inf) >= MARGIN_NONEDGE else None
 
 
 def check_bipartite_preconditions(g: Graph, d: int):
@@ -469,13 +551,11 @@ def embed_bipartite_faithful(g: Graph, d: int, seed: int = 0,
     """Faithful realization in R^d of a bipartite graph with A-degrees <= d.
 
     The B side becomes a flat cluster of diameter B_DIAMETER passing the
-    general-position checks of _b_cluster_ok. Each A vertex is placed on the
-    complementary sphere of its neighborhood's circumsphere, so neighbor
-    distances are exactly 1; degree-d vertices get the two antipodal points of
-    a zero-dimensional complementary sphere (twins split them by vertex
-    order), everyone else is rejection-sampled until every non-edge clears
-    unit length by MARGIN_NONEDGE and all points stay distinct. The result is
-    verified faithfully at TOL_CONSTRUCT before being returned.
+    general-position checks of _b_cluster_ok. place_on_spheres then puts each
+    A vertex on the complementary sphere of its neighborhood's circumsphere,
+    so neighbor distances are exactly 1; degree-d vertices get its two poles.
+    The result is verified faithfully at TOL_CONSTRUCT, with every non-edge
+    MARGIN_NONEDGE clear of unit length, before being returned.
     """
     if d < 2:
         raise PreconditionError("d must be at least 2")
@@ -489,84 +569,12 @@ def embed_bipartite_faithful(g: Graph, d: int, seed: int = 0,
         bpts = _sample_b_cluster(len(side_b), d, rng)
         if not _b_cluster_ok(bpts, nbhd_list, d):
             continue
-        placed = _place_a_side(g, d, side_a, side_b, nbhds, bpts, rng)
+        placed = place_on_spheres(nbhds, bpts, d, rng)
         if placed is None:
             continue
-        points = np.zeros((g.n, d))
-        for i, v in enumerate(side_b):
-            points[v] = bpts[i]
-        for v, y in placed.items():
-            points[v] = y
-        emb = Embedding(dim=d, points=points)
-        report = verify(g, emb, mode="faithful", tol=TOL_CONSTRUCT)
-        if report.passed and _nonedge_margin(g, points) >= MARGIN_NONEDGE:
+        emb = verified_witness(g, d, side_b, bpts, placed)
+        if emb is not None:
             return emb
     raise RealizationError(
         f"faithful embedding failed after {max_retries} attempts (seed {seed})"
     )
-
-
-def _nonedge_margin(g: Graph, points: np.ndarray) -> float:
-    dist = pairwise_distances(points)
-    best = math.inf
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if not g.has_edge(i, j):
-                best = min(best, abs(float(dist[i, j]) - 1.0))
-    return best
-
-
-def _place_a_side(g, d, side_a, side_b, nbhds, bpts, rng):
-    """Place A vertices: forced degree-d pairs first, then sampled ones."""
-    placed: dict = {}
-    spheres = {}
-    for hb in set(nbhds.values()):
-        if hb:
-            spheres[hb] = complementary_sphere(minimal_sphere(bpts[sorted(hb)]), d)
-
-    def surroundings(v):
-        non_nbr = [i for i in range(len(side_b)) if i not in nbhds[v]]
-        rows = [bpts[i] for i in non_nbr] + list(placed.values())
-        return np.asarray(rows).reshape(len(rows), d)
-
-    full_groups: dict = {}
-    for v in sorted(side_a):
-        if len(nbhds[v]) == d:
-            full_groups.setdefault(nbhds[v], []).append(v)
-    for hb, verts in sorted(full_groups.items(), key=lambda kv: kv[1]):
-        comp = spheres[hb]
-        u = comp.flat.basis[0]
-        candidates = [comp.center + comp.radius * u, comp.center - comp.radius * u]
-        if len(verts) == 2:
-            assignments = [(verts[0], candidates[0]), (verts[1], candidates[1])]
-        else:
-            assignments = None
-            for cand in candidates:
-                if _margins_ok(cand, surroundings(verts[0]), "nonedge"):
-                    assignments = [(verts[0], cand)]
-                    break
-            if assignments is None:
-                return None
-        for v, y in assignments:
-            if not _margins_ok(y, surroundings(v), "nonedge"):
-                return None
-            placed[v] = y
-
-    for v in sorted(side_a):
-        if v in placed:
-            continue
-        hb = nbhds[v]
-        ok = False
-        for _ in range(200):
-            if hb:
-                y = sphere_point(spheres[hb], rng)
-            else:
-                y = bpts.mean(axis=0) if len(side_b) else np.zeros(d)
-                y = y + 3.0 * np.eye(d)[0] + _ball_sample(0.3, d, rng)
-            if _margins_ok(y, surroundings(v), "nonedge"):
-                placed[v] = y
-                ok = True
-                break
-        if not ok:
-            return None
-    return placed

@@ -16,6 +16,7 @@ import numpy as np
 
 from .embed import Embedding
 from .graphs import Graph
+from .verify import classify_pairs
 
 _ARMIJO_C = 1e-4
 _STALL_STEP = 1e-18
@@ -50,10 +51,7 @@ class SolveResult:
             "residual": self.residual,
             "best_residual": self.best_residual,
             "restarts_used": self.restarts_used,
-            "embedding": None if self.embedding is None else {
-                "dim": self.embedding.dim,
-                "points": self.embedding.points.tolist(),
-            },
+            "embedding": None if self.embedding is None else self.embedding.to_dict(),
         }
 
 
@@ -65,15 +63,11 @@ def _edge_arrays(g: Graph):
 
 
 def objective(g: Graph, points: np.ndarray) -> float:
-    ei, ej = _edge_arrays(g)
-    diff = points[ei] - points[ej]
-    p = np.einsum("ij,ij->i", diff, diff) - 1.0
-    return float(np.dot(p, p))
+    return _objective(points, *_edge_arrays(g))
 
 
 def gradient(g: Graph, points: np.ndarray) -> np.ndarray:
-    ei, ej = _edge_arrays(g)
-    return _gradient(points, ei, ej)
+    return _gradient(points, *_edge_arrays(g))
 
 
 def _objective(points, ei, ej) -> float:
@@ -117,23 +111,13 @@ def _descend(x0, ei, ej, max_iters, tol_residual):
     return x, f
 
 
-def _distinct(points, tol) -> bool:
-    n = points.shape[0]
-    if n < 2:
-        return True
-    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1)
-    d2 += np.eye(n) * 10.0
-    return bool(d2.min() > tol * tol)
-
-
-def _nonedges_clear(g: Graph, points, margin) -> bool:
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if g.has_edge(i, j):
-                continue
-            if abs(float(np.linalg.norm(points[i] - points[j])) - 1.0) < margin:
-                return False
-    return True
+def _gate_passed(g: Graph, points, cfg: SolverConfig, faithful: bool) -> bool:
+    """Points more than min_separation apart and, for faithful solves, every
+    non-edge at least margin_nonedge away from unit length."""
+    p = classify_pairs(g, points)
+    if p.dist.min(initial=np.inf) <= cfg.min_separation:
+        return False
+    return not (faithful and bool(np.any(p.dev[~p.edge] < cfg.margin_nonedge)))
 
 
 def _solve(g: Graph, d: int, cfg: SolverConfig, faithful: bool) -> SolveResult:
@@ -148,11 +132,7 @@ def _solve(g: Graph, d: int, cfg: SolverConfig, faithful: bool) -> SolveResult:
         x0 = cfg.init_scale * rng.normal(size=(g.n, d))
         x, f = _descend(x0, ei, ej, cfg.max_iters, cfg.tol_residual)
         best = min(best, f)
-        if f > cfg.tol_residual:
-            continue
-        if not _distinct(x, cfg.min_separation):
-            continue
-        if faithful and not _nonedges_clear(g, x, cfg.margin_nonedge):
+        if f > cfg.tol_residual or not _gate_passed(g, x, cfg, faithful):
             continue
         emb = Embedding(dim=d, points=x)
         return SolveResult("FOUND", emb, residual=f, best_residual=min(best, f),

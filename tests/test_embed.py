@@ -254,3 +254,15 @@ def test_bipartite_faithful_random_instances():
         assert verify(g, emb, mode="faithful", tol=1e-7).passed
         done += 1
     assert done == 10
+
+
+def test_bipartite_faithful_places_isolated_a_vertex_far():
+    # A = {0, 1, 2} with 2 isolated, B = {3, 4, 5, 6}
+    g = Graph(7, [(0, 3), (0, 4), (1, 4), (1, 5), (1, 6)], bipartition_a=frozenset({0, 1, 2}))
+    emb = embed_bipartite_faithful(g, 4, seed=0)
+    assert verify(g, emb, mode="faithful", tol=1e-7).passed
+    margins = [abs(float(np.linalg.norm(emb.points[i] - emb.points[j])) - 1.0)
+               for i in range(g.n) for j in range(i + 1, g.n) if not g.has_edge(i, j)]
+    assert min(margins) >= 1e-4
+    # the isolated vertex sits about 3 away from the B cluster
+    assert min(np.linalg.norm(emb.points[3:] - emb.points[2], axis=1)) > 2.0
