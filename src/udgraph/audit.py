@@ -39,7 +39,7 @@ from .embed import (
     realize_hsystem,
     verified_witness,
 )
-from .graphs import Graph, bipartition_of, graph_to_json
+from .graphs import Graph, bipartition_of, graph_to_json, neighborhoods_in
 
 _CHAIN_NODE_CAP = 100_000
 
@@ -87,12 +87,10 @@ def hsystem_of(g: Graph, side: str = "A") -> HSystem:
         raise ValueError("side must be 'A' or 'B'")
     a, b = bipartition_of(g)
     cond_side, ground = (a, b) if side == "A" else (b, a)
-    index = {v: i for i, v in enumerate(ground)}
     m = len(ground)
     s = 0
     conditions = []
-    for v in cond_side:
-        nb = frozenset(index[w] for w in g.neighbors(v))
+    for nb in neighborhoods_in(g, cond_side, ground).values():
         if len(nb) == m and m > 0:
             s += 1
         else:
@@ -228,8 +226,7 @@ def _construct_side(g: Graph, d_query: int, cond_side, ground, h: HSystem,
     if d_up > d_query:
         return None
     r = 1.0 if s == 1 else 0.3
-    index = {v: i for i, v in enumerate(ground)}
-    nbhds = {v: frozenset(index[w] for w in g.neighbors(v)) for v in cond_side}
+    nbhds = neighborhoods_in(g, cond_side, ground)
 
     for attempt in range(20):
         try:

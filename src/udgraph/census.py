@@ -15,10 +15,11 @@ top of the census machinery.
 
 from __future__ import annotations
 
+import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 
 from .graphs import Graph
 from .solver import SolverConfig, solve_distance, solve_faithful
@@ -59,10 +60,7 @@ def linear_forest_oracle(g: Graph) -> bool:
     the two unit slots x-1 and x+1, and a cycle would force its rightmost
     vertex's two neighbours onto the same slot.
     """
-    adj = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = g.adjacency()
     if any(len(nb) > 2 for nb in adj):
         return False
     seen = [False] * g.n
@@ -96,17 +94,13 @@ def is_krt_obstructed(g: Graph, d: int) -> bool:
     parts = d // 2 + 1
     if parts < 2 or 3 * parts > g.n:
         return False
-    adjacency = [set() for _ in range(g.n)]
-    for u, v in g.edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
 
     def extend(chosen: list, pool: list) -> bool:
         if len(chosen) == parts:
             return True
         for triple in combinations(pool, 3):
             tset = set(triple)
-            if all(all(x in adjacency[y] for x in tset) for part in chosen for y in part):
+            if all(g.has_edge(x, y) for x in tset for part in chosen for y in part):
                 rest = [v for v in pool if v not in tset]
                 if extend(chosen + [tset], rest):
                     return True
@@ -116,28 +110,48 @@ def is_krt_obstructed(g: Graph, d: int) -> bool:
 
 
 def _pairs(n: int) -> tuple:
+    """The vertex pairs i < j in the order of their bits in a mask."""
     return tuple(combinations(range(n), 2))
 
 
+def _positions(n: int, verts) -> tuple:
+    """Bit positions, in an n-vertex mask, of the pairs of verts taken in
+    _pairs(len(verts)) order."""
+    index = {p: i for i, p in enumerate(_pairs(n))}
+    ends = ((verts[a], verts[b]) for a, b in _pairs(len(verts)))
+    return tuple(index[(x, y) if x < y else (y, x)] for x, y in ends)
+
+
+def _gather(mask: int, positions) -> int:
+    """The bits of mask at positions, packed in order into a new mask."""
+    out = 0
+    for i, pos in enumerate(positions):
+        out |= (mask >> pos & 1) << i
+    return out
+
+
+def _mask_edges(mask: int, pairs: tuple) -> tuple:
+    return tuple(p for i, p in enumerate(pairs) if mask >> i & 1)
+
+
 def _graph_of_mask(mask: int, n: int) -> Graph:
-    pairs = _pairs(n)
-    edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-    return Graph(n, edges)
+    return Graph(n, _mask_edges(mask, _pairs(n)))
 
 
-def _canonical_mask(mask: int, n: int) -> int:
-    pairs = _pairs(n)
-    index = {p: i for i, p in enumerate(pairs)}
-    best = mask
-    for perm in permutations(range(n)):
-        relabeled = 0
-        for i, (u, v) in enumerate(pairs):
-            if mask >> i & 1:
-                a, b = perm[u], perm[v]
-                relabeled |= 1 << index[(a, b) if a < b else (b, a)]
-        if relabeled < best:
-            best = relabeled
-    return best
+def _canonical_masks(n: int) -> list:
+    """The least mask isomorphic to each n-vertex mask, by an orbit sweep.
+
+    Masks are walked in ascending order, so the first one not yet labelled is
+    the least of its class, and every image of it under the n! relabelings
+    gets it as label.
+    """
+    tables = {_positions(n, perm) for perm in permutations(range(n))}
+    canon = [None] * (1 << math.comb(n, 2))
+    for mask in range(len(canon)):
+        if canon[mask] is None:
+            for positions in tables:
+                canon[_gather(mask, positions)] = mask
+    return canon
 
 
 def _classify_rep(mask: int, n: int, d: int, semantics: str, cfg: SolverConfig):
@@ -153,10 +167,6 @@ def _classify_rep(mask: int, n: int, d: int, semantics: str, cfg: SolverConfig):
     if res.status == "FOUND":
         return STATUS_REALIZABLE, METHOD_FOUND, res.residual
     return STATUS_PRESUMED_NOT, METHOD_EXHAUSTED, res.best_residual
-
-
-def _classify_rep_tuple(args):
-    return _classify_rep(*args)
 
 
 @dataclass(frozen=True)
@@ -209,8 +219,6 @@ class CensusReport:
         }
 
     def to_json(self) -> str:
-        import json
-
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def to_csv(self) -> str:
@@ -230,24 +238,22 @@ def _run_census(n: int, d: int, semantics: str, cfg: SolverConfig, jobs: int) ->
     if cfg is None:
         cfg = SolverConfig()
 
-    total = 1 << math.comb(n, 2)
-    canon = [_canonical_mask(mask, n) for mask in range(total)]
+    canon = _canonical_masks(n)
     reps = sorted(set(canon))
-    args = [(rep, n, d, semantics, cfg) for rep in reps]
+    args = [reps] + [repeat(a) for a in (n, d, semantics, cfg)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_classify_rep_tuple, args))
+            outcomes = list(pool.map(_classify_rep, *args))
     else:
-        outcomes = [_classify_rep(*a) for a in args]
+        outcomes = list(map(_classify_rep, *args))
     by_rep = dict(zip(reps, outcomes))
 
     pairs = _pairs(n)
     entries = []
     realizable = 0
-    for mask in range(total):
-        status, method, residual = by_rep[canon[mask]]
-        edges = tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
-        entries.append(GraphEntry(mask, edges, status, method, residual))
+    for mask, rep in enumerate(canon):
+        status, method, residual = by_rep[rep]
+        entries.append(GraphEntry(mask, _mask_edges(mask, pairs), status, method, residual))
         if status == STATUS_REALIZABLE:
             realizable += 1
 
@@ -267,7 +273,7 @@ def _run_census(n: int, d: int, semantics: str, cfg: SolverConfig, jobs: int) ->
         d=d,
         semantics=semantics,
         count_realizable=realizable,
-        count_presumed_not=total - realizable,
+        count_presumed_not=len(canon) - realizable,
         entries=tuple(entries),
         config=config,
     )
@@ -309,14 +315,6 @@ def ramsey_fd_lower(s: int, d: int) -> int:
     return m
 
 
-def _realizable_small(mask: int, s: int, d: int, cfg: SolverConfig, memo: dict) -> bool:
-    canon = _canonical_mask(mask, s)
-    if canon not in memo:
-        status, _, _ = _classify_rep(canon, s, d, "faithful", cfg)
-        memo[canon] = status == STATUS_REALIZABLE
-    return memo[canon]
-
-
 def ramsey_exact(s: int, d: int, max_m: int = 8, cfg: SolverConfig = None):
     """Smallest m forcing a realizable induced s-subgraph, or "UNKNOWN".
 
@@ -331,41 +329,15 @@ def ramsey_exact(s: int, d: int, max_m: int = 8, cfg: SolverConfig = None):
         raise ValueError(f"need s <= max_m <= 8, got max_m={max_m}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got d={d}")
-    if cfg is None:
-        cfg = SolverConfig()
 
-    memo: dict = {}
-    full_s = 1 << math.comb(s, 2)
-    qualifying = set()
-    for sub in range(full_s):
-        comp = full_s - 1 - sub
-        if _realizable_small(sub, s, d, cfg, memo) or _realizable_small(comp, s, d, cfg, memo):
-            qualifying.add(sub)
-
-    s_pairs = _pairs(s)
+    realizable = [e.status == STATUS_REALIZABLE
+                  for e in _run_census(s, d, "faithful", cfg, 1).entries]
+    full_s = len(realizable)
+    qualifying = {sub for sub in range(full_s) if realizable[sub] or realizable[full_s - 1 - sub]}
     for m in range(s, max_m + 1):
-        pairs = _pairs(m)
-        index = {p: i for i, p in enumerate(pairs)}
         # for each s-subset, the positions of its pairs in the m-graph mask
-        subset_bits = []
-        for subset in combinations(range(m), s):
-            bits = []
-            for a, b in s_pairs:
-                bits.append(index[(subset[a], subset[b])])
-            subset_bits.append(tuple(bits))
-
-        def induced(mask: int, bits: tuple) -> int:
-            sub = 0
-            for i, pos in enumerate(bits):
-                if mask >> pos & 1:
-                    sub |= 1 << i
-            return sub
-
-        all_good = True
-        for mask in range(1 << len(pairs)):
-            if not any(induced(mask, bits) in qualifying for bits in subset_bits):
-                all_good = False
-                break
-        if all_good:
+        subset_bits = [_positions(m, subset) for subset in combinations(range(m), s)]
+        if all(any(_gather(mask, bits) in qualifying for bits in subset_bits)
+               for mask in range(1 << math.comb(m, 2))):
             return m
     return "UNKNOWN"

@@ -20,6 +20,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .audit import faithful_dim_audit
 from .census import count_distance, count_faithful, ramsey_exact, ramsey_fd_lower, zero_pattern_bound
 from .embed import (
@@ -43,6 +45,8 @@ from .graphs import (
 from .solver import SolverConfig, solve_faithful
 from .verify import classify_pairs, verify
 
+TOL_VERIFY = 1e-7  # the tolerance `verify` publishes; `plot` recovers bare edges at it
+
 
 def _read_text(path: str | None) -> str:
     if path is None or path == "-":
@@ -63,7 +67,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _load_graph(path: str | None) -> Graph:
     doc = json.loads(_read_text(path))
-    if "graph" in doc and "embedding" in doc:
+    if isinstance(doc, dict) and "graph" in doc and "embedding" in doc:
         doc = doc["graph"]
     return graph_from_dict(doc)
 
@@ -79,7 +83,7 @@ def _load_graph_and_embedding(args) -> tuple:
         graph = _load_graph(args.graph)
         return graph, embedding
     doc = json.loads(_read_text(args.graph if args.graph else None))
-    if "embedding" in doc:
+    if isinstance(doc, dict) and "embedding" in doc:
         embedding = embedding_from_json(json.dumps(doc["embedding"]))
         if args.graph is not None and "graph" not in doc:
             raise ValueError("document has no graph; pass --graph separately")
@@ -149,8 +153,6 @@ def _cmd_realize(args) -> int:
 
 
 def _pad_embedding(emb: Embedding, dim: int) -> Embedding:
-    import numpy as np
-
     pts = np.zeros((emb.points.shape[0], dim))
     pts[:, : emb.dim] = emb.points
     return Embedding(dim, pts)
@@ -199,8 +201,6 @@ def _cmd_ramsey(args) -> int:
 
 
 def _isometric(pts):
-    import numpy as np
-
     n, dim = pts.shape
     if dim == 1:
         return np.column_stack([pts[:, 0], np.zeros(n)])
@@ -216,7 +216,7 @@ def _cmd_plot(args) -> int:
     text = _read_text(args.embedding)
     doc = json.loads(text)
     graph = None
-    if "embedding" in doc:
+    if isinstance(doc, dict) and "embedding" in doc:
         if "graph" in doc:
             graph = graph_from_dict(doc["graph"])
         emb = embedding_from_json(json.dumps(doc["embedding"]))
@@ -239,7 +239,7 @@ def _cmd_plot(args) -> int:
         edges = sorted(graph.edges)
     else:
         p = classify_pairs(None, emb.points)
-        unit = p.dev <= 1e-6
+        unit = p.dev <= TOL_VERIFY
         edges = zip(p.i[unit].tolist(), p.j[unit].tolist())
 
     parts = [
@@ -286,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", default=None)
     p.add_argument("--embedding", default=None)
     p.add_argument("--mode", choices=["faithful", "distance"], default="faithful")
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=float, default=TOL_VERIFY)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("audit", help="certified dimension audit for a bipartite graph")

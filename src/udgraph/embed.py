@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .geometry import (
     minimal_sphere,
     sphere_point,
 )
-from .graphs import Graph, bipartition_of
+from .graphs import Graph, bipartition_of, greedy_coloring, neighborhoods_in
 from .verify import classify_pairs, verify
 
 TOL_CONSTRUCT = 1e-7  # edge-length tolerance the constructions are held to
@@ -94,8 +95,16 @@ class Embedding:
 
 
 def embedding_from_json(text: str) -> Embedding:
+    """Embedding from its JSON form; a malformed document raises ValueError."""
     d = json.loads(text)
-    return Embedding(dim=int(d["dim"]), points=np.asarray(d["points"], dtype=float))
+    if not isinstance(d, dict) or not {"dim", "points"} <= d.keys():
+        raise ValueError("an embedding document is an object with keys 'dim' and 'points'")
+    if type(d["dim"]) is not int:
+        raise ValueError(f"embedding 'dim' must be an integer, got {d['dim']!r}")
+    pts = d["points"]
+    if not isinstance(pts, list) or not all(isinstance(row, list) for row in pts):
+        raise ValueError("embedding 'points' must be a 2-D list")
+    return Embedding(dim=d["dim"], points=np.asarray(pts, dtype=float))
 
 
 def _check_coloring(g: Graph, coloring) -> list:
@@ -130,8 +139,6 @@ def embed_colorable(g: Graph, coloring=None) -> Embedding:
     orthogonality, and within-class angles are confined to a quarter turn so
     no same-class pair is unit. Edges of g are all cross-class, hence unit.
     """
-    from .graphs import greedy_coloring
-
     if coloring is None:
         coloring = greedy_coloring(g)
     classes = _check_coloring(g, coloring)
@@ -353,8 +360,6 @@ def _b_cluster_ok(pts: np.ndarray, nbhds: list, d: int) -> bool:
         circumspheres of all other neighborhoods; smaller B1 are safe because
         S'(B1) has radius near 1 while every S(B2) is cluster-sized.
     """
-    from itertools import combinations
-
     m = pts.shape[0]
     dist = classify_pairs(None, pts).dist
     if dist.min(initial=np.inf) < 1e-3 or dist.max(initial=0.0) > B_DIAMETER:
@@ -517,13 +522,15 @@ def check_bipartite_preconditions(g: Graph, d: int):
     except ValueError as exc:
         raise PreconditionError(str(exc)) from exc
 
+    deg = g.degrees()
+
     def violation(side_a):
-        deg_bad = [(v, g.degree(v)) for v in side_a if g.degree(v) > d]
+        deg_bad = [(v, deg[v]) for v in side_a if deg[v] > d]
         if deg_bad:
             return ("degree", deg_bad)
         groups = {}
         for v in side_a:
-            if g.degree(v) == d:
+            if deg[v] == d:
                 groups.setdefault(frozenset(g.neighbors(v)), []).append(v)
         twins = [vs for vs in groups.values() if len(vs) >= 3]
         if twins:
@@ -560,8 +567,7 @@ def embed_bipartite_faithful(g: Graph, d: int, seed: int = 0,
     if d < 2:
         raise PreconditionError("d must be at least 2")
     side_a, side_b = check_bipartite_preconditions(g, d)
-    b_index = {v: i for i, v in enumerate(side_b)}
-    nbhds = {v: frozenset(b_index[w] for w in g.neighbors(v)) for v in side_a}
+    nbhds = neighborhoods_in(g, side_a, side_b)
     nbhd_list = [nbhds[v] for v in sorted(side_a) if nbhds[v]]
 
     for attempt in range(max_retries):

@@ -14,20 +14,31 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 
-def _normalize_edges(n: int, edges) -> frozenset:
+def _normalize_edges(n: int, edges) -> tuple:
+    """The edge set as (u, v) pairs with u < v, and each vertex's sorted
+    neighbours as a tuple of tuples."""
     out = set()
+    nbrs = [[] for _ in range(n)]
     for e in edges:
         u, v = int(e[0]), int(e[1])
         if u == v:
             raise ValueError(f"loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        out.add((u, v) if u < v else (v, u))
-    return frozenset(out)
+        pair = (u, v) if u < v else (v, u)
+        if pair not in out:
+            out.add(pair)
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    return frozenset(out), tuple(tuple(sorted(nb)) for nb in nbrs)
 
 
 @dataclass(frozen=True)
 class Graph:
+    """A labelled graph. Each vertex's sorted neighbours are tabled once at
+    construction, outside the dataclass fields, so equality, hashing and repr
+    see only n, edges and bipartition_a."""
+
     n: int
     edges: frozenset = field(default_factory=frozenset)
     bipartition_a: frozenset | None = None
@@ -35,7 +46,9 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("n must be nonnegative")
-        object.__setattr__(self, "edges", _normalize_edges(self.n, self.edges))
+        edges, nbrs = _normalize_edges(self.n, self.edges)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_nbrs", nbrs)
         if self.bipartition_a is not None:
             a = frozenset(int(v) for v in self.bipartition_a)
             if any(not (0 <= v < self.n) for v in a):
@@ -56,30 +69,16 @@ class Graph:
         return ((u, v) if u < v else (v, u)) in self.edges
 
     def adjacency(self) -> list:
-        adj = [[] for _ in range(self.n)]
-        for u, v in sorted(self.edges):
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
+        return [list(nb) for nb in self._nbrs]
 
     def neighbors(self, v: int) -> list:
-        out = []
-        for u, w in self.edges:
-            if u == v:
-                out.append(w)
-            elif w == v:
-                out.append(u)
-        return sorted(out)
+        return list(self._nbrs[v])
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
+        return len(self._nbrs[v])
 
     def degrees(self) -> list:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return [len(nb) for nb in self._nbrs]
 
     def complement(self) -> "Graph":
         non = [(u, v) for u, v in combinations(range(self.n), 2)
@@ -97,11 +96,25 @@ def graph_to_json(g: Graph) -> str:
     return json.dumps(g.to_dict(), separators=(", ", ": "))
 
 
+def _ints(xs) -> bool:
+    # type(x) is int: JSON true/false would pass isinstance(x, int)
+    return isinstance(xs, (list, tuple)) and all(type(x) is int for x in xs)
+
+
 def graph_from_dict(d: dict) -> Graph:
-    bip = d.get("bipartition_a")
+    """Graph from its dict form; a malformed document raises ValueError."""
+    if not isinstance(d, dict) or not {"n", "edges"} <= d.keys():
+        raise ValueError("a graph document is an object with keys 'n' and 'edges'")
+    n, edges, bip = d["n"], d["edges"], d.get("bipartition_a")
+    if type(n) is not int:
+        raise ValueError(f"graph 'n' must be an integer, got {n!r}")
+    if not isinstance(edges, (list, tuple)) or not all(_ints(e) and len(e) == 2 for e in edges):
+        raise ValueError("graph 'edges' must be a list of integer pairs")
+    if bip is not None and not _ints(bip):
+        raise ValueError("graph 'bipartition_a' must be a list of integers")
     return Graph(
-        n=int(d["n"]),
-        edges=frozenset(tuple(e) for e in d["edges"]),
+        n=n,
+        edges=frozenset(tuple(e) for e in edges),
         bipartition_a=frozenset(bip) if bip is not None else None,
     )
 
@@ -293,6 +306,13 @@ def bipartition_of(g: Graph) -> tuple:
     a = [v for v in range(g.n) if side[v] == 0]
     b = [v for v in range(g.n) if side[v] == 1]
     return a, b
+
+
+def neighborhoods_in(g: Graph, side, ground) -> dict:
+    """{v: frozenset of the positions in ground of v's neighbours} for each v
+    in side; every neighbour of a side vertex must lie in ground."""
+    index = {w: i for i, w in enumerate(ground)}
+    return {v: frozenset(index[w] for w in g._nbrs[v]) for v in side}
 
 
 def make_petersen() -> Graph:

@@ -1,10 +1,12 @@
 """Census counting, exact oracles, and the Ramsey-style calculators."""
 
 import math
+from itertools import combinations, permutations
 
 import pytest
 
 from udgraph.census import (
+    _canonical_masks,
     count_distance,
     count_faithful,
     is_krt_obstructed,
@@ -60,6 +62,29 @@ def test_count_faithful_on_the_line():
     assert r.count_presumed_not == 64 - 34
     assert r.exact
     assert count_faithful(5, 1).count_realizable == 206
+
+
+def _brute_canonical_mask(mask, n):
+    # reference: the least relabeling of mask over all n! permutations
+    pairs = list(combinations(range(n), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    best = mask
+    for perm in permutations(range(n)):
+        relabeled = 0
+        for i, (u, v) in enumerate(pairs):
+            if mask >> i & 1:
+                a, b = perm[u], perm[v]
+                relabeled |= 1 << index[(a, b) if a < b else (b, a)]
+        best = min(best, relabeled)
+    return best
+
+
+@pytest.mark.parametrize("n, classes", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34)])
+def test_orbit_sweep_matches_brute_force_labels(n, classes):
+    canon = _canonical_masks(n)
+    assert canon == [_brute_canonical_mask(m, n) for m in range(1 << math.comb(n, 2))]
+    assert len(set(canon)) == classes
+    assert count_faithful(n, 1).config["isomorphism_classes"] == classes
 
 
 def test_count_faithful_plane_n3():

@@ -123,6 +123,27 @@ def test_census_exact_only_guard(capsys, monkeypatch):
     assert "exact" in err
 
 
+_GRAPH_OK = {"n": 2, "edges": [[0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["audit", "--dim", "2"], {"n": 3}),
+        (["audit", "--dim", "2"], {"n": 3, "edges": [[0]]}),
+        (["audit", "--dim", "2"], [1, 2]),
+        (["audit", "--dim", "2"], {"n": 3, "edges": [], "bipartition_a": 5}),
+        (["audit", "--dim", "2"], {"n": True, "edges": []}),
+        (["verify"], {"graph": _GRAPH_OK, "embedding": {"dim": 2}}),
+    ],
+)
+def test_malformed_document_exits_2(capsys, monkeypatch, argv, doc):
+    code, out, err = _run(capsys, monkeypatch, argv, stdin_text=json.dumps(doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("udgraph: error:")
+
+
 def test_ramsey_commands(capsys, monkeypatch):
     code, out, _ = _run(capsys, monkeypatch, ["ramsey", "lower", "--s", "6", "--dim", "1"])
     assert code == 0 and out.strip() == "5"
@@ -142,6 +163,19 @@ def test_plot_writes_svg(capsys, monkeypatch, tmp_path):
     assert code == 0
     svg = out_path.read_text()
     assert svg.startswith("<svg") and svg.count("<circle") == 3 and svg.count("<line") == 3
+
+
+def test_plot_recovers_edges_at_the_verify_tolerance(capsys, monkeypatch, tmp_path):
+    # 5e-7 off unit length: not an edge at verify's published tolerance 1e-7
+    bare = {"dim": 2, "points": [[0.0, 0.0], [1.0 + 5e-7, 0.0]]}
+    out_path = tmp_path / "plot.svg"
+    code, _, _ = _run(capsys, monkeypatch, ["plot", "-o", str(out_path)], stdin_text=json.dumps(bare))
+    assert code == 0
+    svg = out_path.read_text()
+    assert svg.count("<circle") == 2 and "<line" not in svg
+    doc = {"graph": {"n": 2, "edges": []}, "embedding": bare}
+    code, _, _ = _run(capsys, monkeypatch, ["verify"], stdin_text=json.dumps(doc))
+    assert code == 0
 
 
 def test_realize_output_file_holds_bare_embedding(capsys, monkeypatch, tmp_path):

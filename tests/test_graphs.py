@@ -1,7 +1,10 @@
 import json
 import math
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udgraph.graphs import (
     Graph,
@@ -105,6 +108,35 @@ def test_graph_validation():
         Graph(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph(-1, [])
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(0, 9))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), max_size=20)
+                 if n >= 2 else st.just([]))
+    # either orientation, duplicates allowed: the constructor normalises both
+    return Graph(n, [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs())
+def test_neighbour_table_matches_an_edge_scan(g):
+    scan = [sorted({w for e in g.edges if v in e for w in e if w != v}) for v in range(g.n)]
+    assert g.adjacency() == scan
+    assert [g.neighbors(v) for v in range(g.n)] == scan
+    assert [g.degree(v) for v in range(g.n)] == [len(nb) for nb in scan]
+    assert g.degrees() == [len(nb) for nb in scan]
+
+
+def test_neighbour_table_edge_cases():
+    assert Graph(0).adjacency() == [] and Graph(0).degrees() == []
+    g = Graph(4, [(2, 1), (1, 2)])
+    assert g.adjacency() == [[], [2], [1], []]
+    assert g.neighbors(0) == [] and g.degree(3) == 0
+    # the table is no field: equality, hashing and repr see only the edges
+    assert g == Graph(4, [(1, 2)]) and hash(g) == hash(Graph(4, [(1, 2)]))
+    assert "_nbrs" not in repr(g)
 
 
 def test_girth_edge_cases():
