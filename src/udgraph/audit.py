@@ -128,8 +128,10 @@ def edge_sum(h: HSystem) -> int:
     return sum(len(c) for c in h.conditions) + h.s * h.m
 
 
-def _chain_search(h: HSystem, node_cap: int = _CHAIN_NODE_CAP) -> list:
-    """Longest independence chain found within the node budget.
+def _chain_search(h: HSystem, node_cap: int) -> tuple:
+    """(chain, truncated): the longest independence chain found within the
+    node budget, and whether the cap stopped the search short of a chain
+    through all m elements.
 
     A chain starts with up to three free elements (three distinct points on
     a sphere are never collinear) and extends by any j outside some condition
@@ -139,7 +141,7 @@ def _chain_search(h: HSystem, node_cap: int = _CHAIN_NODE_CAP) -> list:
     """
     m = h.m
     if m <= 3:
-        return list(range(m))
+        return list(range(m)), False
     conds = [frozenset(c) for c in h.conditions]
     best: list = []
     seen: set = set()
@@ -167,7 +169,7 @@ def _chain_search(h: HSystem, node_cap: int = _CHAIN_NODE_CAP) -> list:
         if nodes > node_cap or len(best) == m:
             break
         extend(frozenset(start), list(start))
-    return best
+    return best, nodes > node_cap and len(best) < m
 
 
 def k_lower_bound(h: HSystem) -> int:
@@ -182,13 +184,13 @@ def _lower_rules(h: HSystem, side: str) -> tuple:
     if h.m >= 3:
         best = 1
         rules.append({"rule": "R1", "params": {"side": side, "m": h.m}})
-    chain = _chain_search(h)
+    chain, truncated = _chain_search(h, _CHAIN_NODE_CAP)
     if len(chain) - 2 > best:
         best = len(chain) - 2
-        rules.append({
-            "rule": "R2_chain",
-            "params": {"side": side, "chain": chain, "length": len(chain)},
-        })
+        params = {"side": side, "chain": chain, "length": len(chain)}
+        if truncated:
+            params["truncated"] = True
+        rules.append({"rule": "R2_chain", "params": params})
     return best, rules
 
 

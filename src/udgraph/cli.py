@@ -43,9 +43,7 @@ from .graphs import (
     make_remark_graph,
 )
 from .solver import SolverConfig, solve_faithful
-from .verify import classify_pairs, verify
-
-TOL_VERIFY = 1e-7  # the tolerance `verify` publishes; `plot` recovers bare edges at it
+from .verify import TOL_VERIFY, classify_pairs, verify
 
 
 def _read_text(path: str | None) -> str:

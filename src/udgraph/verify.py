@@ -19,6 +19,7 @@ from .geometry import TOL_GEOM, as_points, pairwise_distances
 from .graphs import Graph
 
 MODES = ("faithful", "distance")
+TOL_VERIFY = 1e-7  # the tolerance `udgraph verify` publishes as its default
 
 
 class ToleranceCliffWarning(UserWarning):

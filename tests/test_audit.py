@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from udgraph import audit
 from udgraph.audit import (
     edge_sum,
     faithful_dim_audit,
@@ -90,6 +91,21 @@ def test_k_lower_bound_rules():
     for d in range(4, 9):
         assert k_lower_bound(hsystem_of(make_kprime(d))) == d - 2
     assert k_lower_bound(HSystem(2, ())) == 0
+
+
+def test_chain_search_reports_truncation(monkeypatch):
+    h = hsystem_of(make_kprime(8))
+    # the first descent reaches a chain through all 8 elements on node 5
+    assert audit._chain_search(h, node_cap=5) == (list(range(8)), False)
+    chain, truncated = audit._chain_search(h, node_cap=3)
+    assert truncated and chain == list(range(7))
+    assert audit._lower_rules(h, "A")[1][-1]["params"] == {
+        "side": "A", "chain": list(range(8)), "length": 8}
+    monkeypatch.setattr(audit, "_CHAIN_NODE_CAP", 3)
+    k, rules = audit._lower_rules(h, "A")
+    assert k == 5
+    assert rules[-1] == {"rule": "R2_chain", "params": {
+        "side": "A", "chain": list(range(7)), "length": 7, "truncated": True}}
 
 
 def test_audit_k33():

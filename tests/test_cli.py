@@ -53,6 +53,24 @@ def test_realize_verify_roundtrip_exits_0(capsys, monkeypatch):
     assert json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize("gen, dim, seeds", [
+    (["multipartite", "2", "2"], "2", range(10)),
+    (["complete", "4"], "3", [None]),
+])
+def test_numeric_realize_pipes_into_default_verify(capsys, monkeypatch, gen, dim, seeds):
+    # `udgraph gen ... | udgraph realize --method numeric | udgraph verify`,
+    # verify at its published default tolerance
+    _, graph_json, _ = _run(capsys, monkeypatch, ["gen", *gen])
+    for seed in seeds:
+        argv = ["realize", "--dim", dim, "--method", "numeric"]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        code, combined, _ = _run(capsys, monkeypatch, argv, stdin_text=graph_json)
+        assert code == 0, seed
+        code, out, _ = _run(capsys, monkeypatch, ["verify"], stdin_text=combined)
+        assert code == 0, (seed, out)
+
+
 def test_realize_same_seed_byte_identical(capsys, monkeypatch):
     _, graph_json, _ = _run(capsys, monkeypatch, ["gen", "kprime", "4"])
     outs = []
