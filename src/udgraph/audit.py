@@ -81,7 +81,9 @@ def hsystem_of(g: Graph, side: str = "A") -> HSystem:
 
     side names the condition side: its vertices' neighborhoods become subsets
     of the other (ground) side, indexed in sorted vertex order. Full
-    neighborhoods are counted in s, the rest are the conditions.
+    neighborhoods are counted in s, the rest are the conditions. Over an
+    empty ground side every neighborhood is empty and excludes nothing, so
+    it is neither a condition nor counted in s.
     """
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
@@ -91,10 +93,10 @@ def hsystem_of(g: Graph, side: str = "A") -> HSystem:
     s = 0
     conditions = []
     for nb in neighborhoods_in(g, cond_side, ground).values():
-        if len(nb) == m and m > 0:
-            s += 1
-        else:
+        if len(nb) < m:
             conditions.append(nb)
+        elif m > 0:
+            s += 1
     return HSystem(m=m, conditions=tuple(conditions), s=s)
 
 

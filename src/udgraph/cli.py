@@ -200,6 +200,8 @@ def _cmd_ramsey(args) -> int:
 
 def _isometric(pts):
     n, dim = pts.shape
+    if dim == 0:
+        return np.zeros((n, 2))
     if dim == 1:
         return np.column_stack([pts[:, 0], np.zeros(n)])
     if dim == 2:
@@ -262,7 +264,12 @@ def _cmd_plot(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    default_jobs = int(os.environ.get("UDG_JOBS", "1"))
+    """The argument parser; a malformed UDG_JOBS raises ValueError."""
+    jobs_env = os.environ.get("UDG_JOBS", "1")
+    try:
+        default_jobs = int(jobs_env)
+    except ValueError:
+        raise ValueError(f"UDG_JOBS must be an integer, got {jobs_env!r}") from None
     top = argparse.ArgumentParser(prog="udgraph", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -325,9 +332,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (PreconditionError, RealizationError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"udgraph: error: {exc}", file=sys.stderr)

@@ -23,15 +23,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
 from .geometry import (
-    TOL_RANK,
-    affine_rank,
+    affine_ranks,
     as_points,
-    circumsphere,
+    circumradii,
     complementary_sphere,
     minimal_sphere,
     sphere_point,
@@ -258,16 +257,28 @@ def _cap_sample(m: int, k: int, spread: float, rng: np.random.Generator) -> np.n
 
 
 def _conditions_hold(points: np.ndarray, conditions, upto: int) -> bool:
-    m = points.shape[0]
+    """Every point outside each of the first upto conditions H raises the
+    affine rank of H's points by one, i.e. avoids their affine hull.
+
+    Conditions of one size t share two stacked rank tests: one over the
+    (G, t) member sets, one over the G (m - t) sets H + {i} with i outside H.
+    """
+    m, dim = points.shape
+    by_size: dict = {}
     for H in conditions[:upto]:
-        if not H:
-            continue
-        idx = sorted(H)
-        base = affine_rank(points[idx])
-        rest = [i for i in range(m) if i not in H]
-        for i in rest:
-            if affine_rank(np.vstack([points[idx], points[i]])) != base + 1:
-                return False
+        if H:
+            by_size.setdefault(len(H), []).append(H)
+    for t, group in by_size.items():
+        inside = np.array([sorted(H) for H in group])
+        outside = np.array([[i for i in range(m) if i not in H] for H in group])
+        members = points[inside]
+        grown = np.concatenate([
+            np.broadcast_to(members[:, None], outside.shape + (t, dim)),
+            points[outside][:, :, None],
+        ], axis=2).reshape(-1, t + 1, dim)
+        base = affine_ranks(members)
+        if np.any(affine_ranks(grown).reshape(outside.shape) != base[:, None] + 1):
+            return False
     return True
 
 
@@ -349,11 +360,24 @@ def _sample_b_cluster(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return pts
 
 
+_SUBSET_BLOCK = 4096  # subsets per stacked test; bounds memory on big clusters
+
+
+def _subset_blocks(m: int, t: int):
+    """The t-subsets of range(m) in combinations order, as (k, t) index
+    arrays of at most _SUBSET_BLOCK rows each."""
+    flat = chain.from_iterable(combinations(range(m), t))
+    while (block := np.fromiter(islice(flat, _SUBSET_BLOCK * t), dtype=np.intp)).size:
+        yield block.reshape(-1, t)
+
+
 def _b_cluster_ok(pts: np.ndarray, nbhds: list, d: int) -> bool:
     """Numeric general-position checks on the B cluster.
 
-    (a) every subset of size <= d+1 is affinely independent;
-    (b) no d+1 points lie within 1e-3 of a common unit sphere;
+    (a) every subset of size <= d+1 is affinely independent (one stacked
+        rank test per subset size);
+    (b) no d+1 points lie within 1e-3 of a common unit sphere (one stacked
+        circumradius solve);
     (c) the two-point complementary spheres of any two size-d neighborhoods
         keep all cross distances at least 1e-3 away from 1;
     (d) for size-d neighborhoods B1, the points of S'(B1) stay off the
@@ -361,21 +385,22 @@ def _b_cluster_ok(pts: np.ndarray, nbhds: list, d: int) -> bool:
         S'(B1) has radius near 1 while every S(B2) is cluster-sized.
     """
     m = pts.shape[0]
+    if m == 0:
+        return True
     dist = classify_pairs(None, pts).dist
     if dist.min(initial=np.inf) < 1e-3 or dist.max(initial=0.0) > B_DIAMETER:
         return False
     # enclosing radius must stay clear of 1/2 (it is cluster-sized anyway)
-    radius_hat = float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).max(initial=0.0))
+    radius_hat = float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).max())
     if abs(radius_hat - 0.5) < 0.05:
         return False
     for t in range(3, min(d + 1, m) + 1):
-        for sub in combinations(range(m), t):
-            if affine_rank(pts[list(sub)]) != t - 1:
+        for sub in _subset_blocks(m, t):
+            if np.any(affine_ranks(pts[sub]) != t - 1):
                 return False
     if m >= d + 1:
-        for sub in combinations(range(m), d + 1):
-            sph = circumsphere(pts[list(sub)])
-            if abs(sph.radius - 1.0) < 1e-3:
+        for sub in _subset_blocks(m, d + 1):
+            if np.any(np.abs(circumradii(pts[sub]) - 1.0) < 1e-3):
                 return False
     full = sorted({hb for hb in nbhds if len(hb) == d}, key=sorted)
     spheres = {}

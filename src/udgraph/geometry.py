@@ -1,10 +1,16 @@
 """Affine and spherical primitives in R^d.
 
 Everything here works on plain float64 arrays: a point is a 1-d array, a point
-set an (m, d) array of row vectors. Rank decisions use a relative SVD cutoff
-(TOL_RANK), metric comparisons an absolute tolerance (TOL_GEOM). Spheres of
-dimension -1 (single points) are legal and appear as circumspheres of one
-point: empty-basis flat, radius 0.
+set an (m, d) array of row vectors, and K point sets of t points each a
+(K, t, d) stack. Rank decisions use a relative SVD cutoff (TOL_RANK), metric
+comparisons an absolute tolerance (TOL_GEOM). Spheres of dimension -1 (single
+points) are legal and appear as circumspheres of one point: empty-basis flat,
+radius 0.
+
+The subset-wise general-position tests run on stacks: affine_ranks takes the
+affine rank of every set in a stack with one batched SVD (affine_rank is its
+K = 1 case), and circumradii the circumradius of every full-dimensional
+simplex in a stack with one batched linear solve.
 """
 
 from __future__ import annotations
@@ -28,20 +34,50 @@ def as_points(points) -> np.ndarray:
     return pts
 
 
-def affine_rank(points, tol: float = TOL_RANK) -> int:
-    """Dimension of the affine hull: 0 for a point, 1 for a segment, and so on.
+def affine_ranks(stack, tol: float = TOL_RANK) -> np.ndarray:
+    """Affine rank of every (t, d) point set in a (K, t, d) stack.
 
-    Computed as the matrix rank of the centered point set; singular values
-    below tol * s_max count as zero. The empty set gets the conventional -1.
+    Each rank is the matrix rank of the centered set; singular values at or
+    below tol * s_max count as zero, and an all-zero set has rank 0. Empty
+    sets (t = 0) get the conventional -1. One batched SVD serves the stack.
     """
-    pts = as_points(points)
-    if pts.shape[0] == 0:
-        return -1
-    centered = pts - pts.mean(axis=0)
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3:
+        raise ValueError("a stack of point sets must be a (K, t, d) array")
+    k, t, d = stack.shape
+    if t == 0:
+        return np.full(k, -1)
+    if d == 0 or k == 0:
+        return np.zeros(k, dtype=int)
+    centered = stack - stack.mean(axis=1, keepdims=True)
     sv = np.linalg.svd(centered, compute_uv=False)
-    if sv.size == 0 or sv[0] <= 0.0:
-        return 0
-    return int(np.sum(sv > tol * sv[0]))
+    top = sv[:, :1]
+    return np.where(top[:, 0] > 0.0, np.sum(sv > tol * top, axis=1), 0)
+
+
+def affine_rank(points, tol: float = TOL_RANK) -> int:
+    """Dimension of the affine hull: 0 for a point, 1 for a segment, and so
+    on; -1 for the empty set. The one-set case of affine_ranks."""
+    return int(affine_ranks(as_points(points)[None], tol)[0])
+
+
+def circumradii(stack) -> np.ndarray:
+    """Circumradius of every full-dimensional simplex in a (K, d+1, d) stack.
+
+    The center of simplex y_0..y_d solves 2 (y_i - y_0) . c = |y_i - y_0|^2
+    with c relative to y_0, so the radius is |c|; one batched solve serves the
+    stack. An affinely dependent simplex makes the system singular: expect a
+    huge radius or numpy.linalg.LinAlgError, so test independence first.
+    """
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] + 1:
+        raise ValueError("a stack of simplices must be a (K, d+1, d) array")
+    diffs = stack[:, 1:] - stack[:, :1]
+    rhs = np.sum(diffs * diffs, axis=2)
+    # b carries an explicit trailing axis: a stack of (d, 1) right-hand sides
+    # reads the same on numpy 1.x and 2.x
+    c = np.linalg.solve(2.0 * diffs, rhs[..., None])[..., 0]
+    return np.sqrt(np.sum(c * c, axis=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +98,7 @@ class AffineFlat:
             raise ValueError("basis must be (k, d) with d matching the base point")
         if basis.shape[0]:
             gram = basis @ basis.T
-            if not np.allclose(gram, np.eye(basis.shape[0]), atol=1e-9):
+            if not np.abs(gram - np.eye(basis.shape[0])).max() <= 1e-9:
                 raise ValueError("basis rows must be orthonormal")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "basis", basis)
@@ -165,21 +201,30 @@ def circumsphere(points) -> Sphere:
 def minimal_sphere(points, tol: float = 1e-7) -> Sphere:
     """Smallest sphere through a point set that lies on a common sphere.
 
-    Greedily extracts an affinely independent spanning subset (first point
-    first, then every point that raises the rank), takes its circumsphere and
-    checks the remaining points sit on it within tol. Intended for subsets of
-    a sampled sphere; raises ValueError if the points are not concyclic.
+    An affinely independent set is its own spanning subset. Otherwise one is
+    extracted greedily (first point first, then every point that raises the
+    rank). The sphere is the circumsphere of that subset, and every point
+    must sit on it within tol, off its flat and off its radius alike.
+    Intended for subsets of a sampled sphere; raises ValueError if the points
+    are not concyclic.
     """
     pts = as_points(points)
-    chosen = [0]
-    for i in range(1, pts.shape[0]):
-        trial = pts[chosen + [i]]
-        if affine_rank(trial) == len(chosen):
-            chosen.append(i)
+    n, d = pts.shape
+    if n <= d + 1 and affine_rank(pts) == n - 1:
+        chosen = list(range(n))
+    else:
+        chosen = [0]
+        for i in range(1, n):
+            trial = pts[chosen + [i]]
+            if affine_rank(trial) == len(chosen):
+                chosen.append(i)
     sphere = circumsphere(pts[chosen])
-    for i in range(pts.shape[0]):
-        if not sphere.contains(pts[i], tol=tol):
-            raise ValueError("points do not lie on a common sphere")
+    basis = sphere.flat.basis
+    rel = pts - sphere.flat.base
+    off_flat = np.linalg.norm(rel - (rel @ basis.T) @ basis, axis=1)
+    off_radius = np.abs(np.linalg.norm(pts - sphere.center, axis=1) - sphere.radius)
+    if not (np.all(off_flat <= tol) and np.all(off_radius <= tol)):
+        raise ValueError("points do not lie on a common sphere")
     return sphere
 
 

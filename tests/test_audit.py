@@ -73,6 +73,26 @@ def test_hsystem_of_single_edge():
     assert h.m == 1 and h.s == 1
 
 
+def test_hsystem_of_empty_ground_has_no_conditions():
+    # an edgeless graph on one or two vertices puts them all on side A; their
+    # empty neighborhoods over the empty B side exclude nothing
+    for n in (1, 2):
+        assert hsystem_of(Graph(n, ())) == HSystem(m=0, conditions=(), s=0)
+        assert hsystem_of(Graph(n, ()), side="B") == HSystem(m=n, conditions=(), s=0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("d", [1, 2])
+def test_audit_of_edgeless_graph_with_empty_side(n, d):
+    g = Graph(n, ())
+    report = faithful_dim_audit(g, d)
+    assert report.verdict in ("REALIZABLE", "UNDECIDED")
+    if report.verdict == "REALIZABLE":
+        assert report.embedding.dim == d
+        assert verify(g, report.embedding, mode="faithful", tol=1e-7).passed
+    json.loads(report.to_json())
+
+
 def test_hsystem_of_rejects_nonbipartite():
     with pytest.raises(ValueError):
         hsystem_of(make_complete(3))

@@ -162,6 +162,22 @@ def test_malformed_document_exits_2(capsys, monkeypatch, argv, doc):
     assert err.startswith("udgraph: error:")
 
 
+def test_malformed_udg_jobs_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("UDG_JOBS", "abc")
+    code, _, err = _run(capsys, monkeypatch, ["gen", "complete", "3"])
+    assert code == 2
+    assert err.startswith("udgraph: error:") and "UDG_JOBS" in err
+
+
+def test_plot_zero_dimensional_embedding(capsys, monkeypatch, tmp_path):
+    # a 0-d embedding is drawn at the origin
+    svg = tmp_path / "point.svg"
+    doc = json.dumps({"dim": 0, "points": [[]]})
+    code, _, err = _run(capsys, monkeypatch, ["plot", "-o", str(svg)], stdin_text=doc)
+    assert code == 0 and err == ""
+    assert svg.read_text().count("<circle") == 1
+
+
 def test_ramsey_commands(capsys, monkeypatch):
     code, out, _ = _run(capsys, monkeypatch, ["ramsey", "lower", "--s", "6", "--dim", "1"])
     assert code == 0 and out.strip() == "5"

@@ -1,11 +1,15 @@
 """Constructive embeddings: orthogonal circles, bipartite placement, H-systems."""
 
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from udgraph.embed import (
+    B_DIAMETER,
     Embedding,
     FlatnessBudget,
     HSystem,
@@ -17,8 +21,18 @@ from udgraph.embed import (
     embedding_from_json,
     growth_dimension,
     realize_hsystem,
+    _b_cluster_ok,
+    _cap_sample,
+    _conditions_hold,
+    _sample_b_cluster,
+    _subset_blocks,
 )
-from udgraph.geometry import affine_rank
+from udgraph.geometry import (
+    affine_rank,
+    circumsphere,
+    complementary_sphere,
+    minimal_sphere,
+)
 from udgraph.graphs import (
     Graph,
     exact_coloring,
@@ -266,3 +280,178 @@ def test_bipartite_faithful_places_isolated_a_vertex_far():
     assert min(margins) >= 1e-4
     # the isolated vertex sits about 3 away from the B cluster
     assert min(np.linalg.norm(emb.points[3:] - emb.points[2], axis=1)) > 2.0
+
+
+def test_bipartite_faithful_edgeless_graph():
+    # an empty B side: no cluster to check, and no RuntimeWarning (which the
+    # test configuration turns into an error) from averaging zero points
+    g = Graph(3, ())
+    emb = embed_bipartite_faithful(g, 2, seed=0)
+    assert emb.points.shape == (3, 2)
+    assert verify(g, emb, mode="faithful", tol=1e-7).passed
+
+
+# ---------------------------------------------------------------------------
+# the stacked general-position tests against per-subset loops
+
+
+def _conditions_hold_reference(points, conditions, upto):
+    m = points.shape[0]
+    for H in conditions[:upto]:
+        if not H:
+            continue
+        idx = sorted(H)
+        base = affine_rank(points[idx])
+        for i in range(m):
+            if i not in H and affine_rank(np.vstack([points[idx], points[i]])) != base + 1:
+                return False
+    return True
+
+
+def _b_cluster_ok_reference(pts, nbhds, d):
+    m = pts.shape[0]
+    if m == 0:
+        return True
+    dist = [np.linalg.norm(pts[i] - pts[j]) for i, j in combinations(range(m), 2)]
+    if min(dist, default=np.inf) < 1e-3 or max(dist, default=0.0) > B_DIAMETER:
+        return False
+    radius_hat = float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).max())
+    if abs(radius_hat - 0.5) < 0.05:
+        return False
+    for t in range(3, min(d + 1, m) + 1):
+        for sub in combinations(range(m), t):
+            if affine_rank(pts[list(sub)]) != t - 1:
+                return False
+    if m >= d + 1:
+        for sub in combinations(range(m), d + 1):
+            if abs(circumsphere(pts[list(sub)]).radius - 1.0) < 1e-3:
+                return False
+    full = sorted({hb for hb in nbhds if len(hb) == d}, key=sorted)
+    spheres = {}
+    for hb in set(nbhds):
+        sph = minimal_sphere(pts[sorted(hb)]) if hb else None
+        if sph is not None and sph.radius > 0.9:
+            return False
+        spheres[hb] = sph
+    poles = {}
+    for hb in full:
+        comp = complementary_sphere(spheres[hb], d)
+        u = comp.flat.basis[0]
+        poles[hb] = (comp.center + comp.radius * u, comp.center - comp.radius * u)
+    for h1, h2 in combinations(full, 2):
+        for y1 in poles[h1]:
+            for y2 in poles[h2]:
+                gap = np.linalg.norm(y1 - y2)
+                if abs(gap - 1.0) < 1e-3 or gap < 1e-3:
+                    return False
+    for h1 in full:
+        for h2, sph in spheres.items():
+            if h1 == h2 or sph is None or sph.flat.dim == 0:
+                continue
+            for y in poles[h1]:
+                proj = sph.flat.project(y)
+                off_flat = np.linalg.norm(y - proj)
+                on_flat = abs(np.linalg.norm(proj - sph.center) - sph.radius)
+                if math.hypot(off_flat, on_flat) < 1e-3:
+                    return False
+    return True
+
+
+def _cluster(kind, m, d, rng):
+    """A sampled B cluster; "collinear" makes one random triple collinear,
+    failing clause (a), and "unit_sphere" puts d+1 random points on a unit
+    sphere, failing clause (b)."""
+    pts = _sample_b_cluster(m, d, rng)
+    if kind == "collinear" and m >= 3:
+        a, b, c = rng.choice(m, size=3, replace=False)
+        pts[c] = 0.5 * (pts[a] + pts[b])
+    if kind == "unit_sphere" and m >= d + 1:
+        up = np.zeros(d)
+        up[-1] = 1.0
+        dirs = up + rng.uniform(-0.04, 0.04, size=(d + 1, d))
+        pts[rng.choice(m, size=d + 1, replace=False)] = (
+            dirs / np.linalg.norm(dirs, axis=1, keepdims=True) - up)
+    return pts
+
+
+_CLUSTER_KINDS = ["sampled", "collinear", "unit_sphere"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 9), d=st.integers(2, 4),
+       kind=st.sampled_from(_CLUSTER_KINDS), n_nbhds=st.integers(0, 5))
+def test_b_cluster_ok_matches_loop_reference(seed, m, d, kind, n_nbhds):
+    rng = np.random.default_rng(seed)
+    pts = _cluster(kind, m, d, rng)
+    nbhds = []
+    for _ in range(n_nbhds if m else 0):
+        size = int(rng.integers(1, min(d, m) + 1))
+        nbhds.append(frozenset(int(i) for i in rng.choice(m, size=size, replace=False)))
+    assert _b_cluster_ok(pts, nbhds, d) == _b_cluster_ok_reference(pts, nbhds, d)
+
+
+@pytest.mark.parametrize("kind", _CLUSTER_KINDS)
+def test_b_cluster_ok_streams_subsets_in_blocks(monkeypatch, kind):
+    # blocks of 7 subsets split every subset size of a 9-point cluster in R^4
+    # over several stacked tests, and the verdict stays the loop form's
+    monkeypatch.setattr("udgraph.embed._SUBSET_BLOCK", 7)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        pts = _cluster(kind, 9, 4, rng)
+        nbhds = [frozenset(int(i) for i in rng.choice(9, size=4, replace=False))
+                 for _ in range(3)]
+        assert _b_cluster_ok(pts, nbhds, 4) == _b_cluster_ok_reference(pts, nbhds, 4)
+
+
+def test_subset_blocks_cover_combinations_in_order(monkeypatch):
+    monkeypatch.setattr("udgraph.embed._SUBSET_BLOCK", 4)
+    blocks = list(_subset_blocks(6, 3))
+    assert [len(b) for b in blocks] == [4, 4, 4, 4, 4]
+    assert [tuple(r) for b in blocks for r in b] == list(combinations(range(6), 3))
+    assert list(_subset_blocks(2, 3)) == []
+
+
+@pytest.mark.parametrize("kind, expected", [
+    ("sampled", True), ("collinear", False), ("unit_sphere", False)])
+def test_b_cluster_ok_clauses(kind, expected):
+    # 8 points in R^3; the sampled cluster passes, each doctored one fails
+    # on its own clause, and the loop form agrees
+    for seed in range(20):
+        pts = _sample_b_cluster(8, 3, np.random.default_rng(seed))
+        if _b_cluster_ok_reference(pts, [], 3):
+            break
+    pts = _cluster(kind, 8, 3, np.random.default_rng(seed))
+    assert _b_cluster_ok(pts, [], 3) is expected
+    assert _b_cluster_ok_reference(pts, [], 3) is expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), h=_hsystems(), k=st.integers(1, 3),
+       dependent=st.sampled_from([None, "outside", "member"]), extra=st.integers(0, 1))
+def test_conditions_hold_matches_loop_reference(seed, h, k, dependent, extra):
+    # points on a cap of S^k; "outside" moves a point outside a condition into
+    # the affine hull of two of its members, "member" moves a member there,
+    # which lowers that condition's own rank
+    rng = np.random.default_rng(seed)
+    pts = _cap_sample(h.m, k, 0.1, rng)
+    least = 2 if dependent == "outside" else 3
+    big = [H for H in h.conditions if len(H) >= least]
+    if dependent and big:
+        H = big[int(rng.integers(len(big)))]
+        a, b, *rest = rng.permutation(sorted(H))
+        moved = rest[0] if dependent == "member" else min(set(range(h.m)) - H)
+        pts[moved] = 0.3 * pts[a] + 0.7 * pts[b]
+    upto = len(h.conditions) + extra
+    for u in range(upto + 1):
+        assert _conditions_hold(pts, h.conditions, u) == _conditions_hold_reference(
+            pts, h.conditions, u)
+
+
+def test_conditions_hold_reads_each_conditions_own_rank():
+    # two conditions of size 3; the second one's members are collinear, so
+    # its own rank is 1 and every point outside it must raise that to 2
+    pts = _cap_sample(6, 2, 0.1, np.random.default_rng(5))
+    pts[5] = 0.3 * pts[3] + 0.7 * pts[4]
+    conditions = HSystem(6, ((0, 1, 2), (3, 4, 5))).conditions
+    assert _conditions_hold_reference(pts, conditions, 2)
+    assert _conditions_hold(pts, conditions, 2)
