@@ -23,11 +23,17 @@ print("exact (oracle backed):", rep.exact)
 rep5 = count_faithful(5, 1)
 print("faithful on 5 labelled vertices in R^1:", rep5.count_realizable)
 
-# in the plane the counts come from the numeric solver
+# in the plane each class first meets a table of elementary obstructions;
+# only what no rule refutes goes to the numeric solver
 cfg = SolverConfig(seed=0, restarts=40, max_iters=800)
 rep2 = count_faithful(3, 2, cfg=cfg)
 print("faithful on 3 labelled vertices in R^2:", rep2.count_realizable,
       "of", 2 ** 3)
+
+rep42 = count_faithful(4, 2, cfg=cfg)
+k4 = rep42.entries[-1]  # the last mask has every edge
+print("faithful on 4 labelled vertices in R^2:", rep42.count_realizable,
+      "of", 2 ** 6, "- K_4 is", k4.status, "by rule", k4.rule["rule"])
 
 rep2d = count_distance(3, 2, cfg=cfg)
 print("distance  on 3 labelled vertices in R^2:", rep2d.count_realizable)

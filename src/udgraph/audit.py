@@ -11,7 +11,9 @@ UNDECIDED is an honest verdict.
 
 The upper-bound side realizes the H-system on a sphere (realize_hsystem),
 scales it, and places the A vertices on complementary spheres, producing a
-verified witness embedding whenever the numbers cooperate.
+verified witness embedding whenever the numbers cooperate. An edgeless graph
+the construction does not reach (it never builds in fewer than two
+dimensions) is placed on the line, where distinct points realize it.
 
 With no full-degree vertex (s = 0) there is no common sphere and the chain
 rule does not apply to realizations, so the audit never claims
@@ -24,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -313,5 +315,16 @@ def faithful_dim_audit(g: Graph, d: int) -> AuditReport:
                 k_lower=info["k_lower"], k_upper=params["k"], s=info["h"].s,
                 rule_chain=tuple(chain), embedding=emb,
             )
+
+    if g.m == 0 and d >= 1:
+        # any distinct points realize an edgeless graph faithfully; spaced 2
+        # apart on the first axis, every pair is 1 clear of unit length
+        points = np.zeros((g.n, d))
+        points[:, 0] = 2.0 * np.arange(g.n)
+        report = without_witness("REALIZABLE")
+        return replace(
+            report, embedding=Embedding(dim=d, points=points),
+            rule_chain=report.rule_chain + ({"rule": "edgeless_line", "params": {"spacing": 2.0}},),
+        )
 
     return without_witness("UNDECIDED")

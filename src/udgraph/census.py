@@ -1,12 +1,18 @@
 """Exhaustive small-n censuses of realizable graphs and counting bounds.
 
-Walks every labelled graph on n vertices (n <= 5, at most 1024 graphs),
-classifies each as realizable or presumed-not under the faithful or the
-plain distance semantics, and assembles the counts into a report. The
-classifier is exact on the line (a graph embeds in R^1 iff it is a
-disjoint union of paths) and solver-backed in higher dimension, where a
-failed search is evidence but never proof; the method tag on every entry
-keeps that distinction explicit.
+Walks every labelled graph on n vertices (n <= 6, at most 32768 graphs),
+classifies each as realizable or not under the faithful or the plain
+distance semantics, and assembles the counts into a report. Both semantics
+place the vertices at distinct points, so a faithful realization is a
+distance realization and every distance obstruction refutes both.
+
+On the line the classifier is exact: a graph embeds in R^1 iff it is a
+disjoint union of paths. In higher dimension each isomorphism class first
+meets an ordered table of elementary obstructions (_RULES); a rule that
+fires is a proof, recorded on the entry as {"rule", "params"}. Only a class
+no rule refutes reaches the numeric solver, whose witness is checked by
+verify and whose exhausted search is evidence, never proof. The method tag
+on every entry keeps these three kinds of answer apart.
 
 Also provides the zero-pattern counting bound C(n(n-1), nd) on the number
 of faithfully realizable graphs, and two Ramsey-style calculators built on
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, permutations, repeat
@@ -24,12 +31,14 @@ from itertools import combinations, permutations, repeat
 from .graphs import Graph
 from .solver import SolverConfig, solve_distance, solve_faithful
 
-_MAX_CENSUS_N = 5
+_MAX_CENSUS_N = 6
 
 STATUS_REALIZABLE = "REALIZABLE"
+STATUS_NOT_REALIZABLE = "NOT_REALIZABLE"
 STATUS_PRESUMED_NOT = "PRESUMED_NOT"
 
 METHOD_EXACT = "EXACT_ORACLE"
+METHOD_RULE = "CERTIFIED_RULE"
 METHOD_FOUND = "SOLVER_FOUND"
 METHOD_EXHAUSTED = "SOLVER_EXHAUSTED"
 
@@ -84,29 +93,109 @@ def linear_forest_oracle(g: Graph) -> bool:
     return True
 
 
-def is_krt_obstructed(g: Graph, d: int) -> bool:
-    """Check for a complete multipartite K_{3,...,3} with d//2 + 1 parts.
+def _contains_multipartite(g: Graph, sizes) -> bool:
+    """True when g contains a complete multipartite subgraph whose parts have
+    the given sizes: every vertex of a part is joined to every vertex of the
+    parts before it."""
 
-    Containing one as a subgraph rules out any distance realization in
-    R^d. With a single part there is nothing to check (no cross edges),
-    so the test only fires for d >= 2.
-    """
-    parts = d // 2 + 1
-    if parts < 2 or 3 * parts > g.n:
-        return False
-
-    def extend(chosen: list, pool: list) -> bool:
-        if len(chosen) == parts:
+    def extend(chosen: tuple, pool: list, k: int) -> bool:
+        if k == len(sizes):
             return True
-        for triple in combinations(pool, 3):
-            tset = set(triple)
-            if all(g.has_edge(x, y) for x in tset for part in chosen for y in part):
-                rest = [v for v in pool if v not in tset]
-                if extend(chosen + [tset], rest):
+        for part in combinations(pool, sizes[k]):
+            if all(g.has_edge(x, y) for x in part for y in chosen):
+                rest = [v for v in pool if v not in part]
+                if extend(chosen + part, rest, k + 1):
                     return True
         return False
 
-    return extend([], list(range(g.n)))
+    return sum(sizes) <= g.n and extend((), list(range(g.n)), 0)
+
+
+def is_krt_obstructed(g: Graph, d: int) -> bool:
+    """Check for a complete multipartite K_{3,...,3} with d//2 + 1 parts.
+
+    Containing one as a subgraph rules out any distance realization in R^d:
+    three distinct points at unit distance from a common point are not
+    collinear, so each part spans a 2-plane, and the points equidistant from
+    it lie in an orthogonal flat; d//2 + 1 pairwise orthogonal 2-planes do not
+    fit in R^d. With a single part there is nothing to check (no cross
+    edges), so the test only fires for d >= 2.
+    """
+    parts = d // 2 + 1
+    return parts >= 2 and _contains_multipartite(g, (3,) * parts)
+
+
+def _link_components(g: Graph, v: int):
+    """(order, edges, max degree) of each component of the subgraph that g
+    induces on the neighbours of v."""
+    link = set(g.neighbors(v))
+    inner = {u: [w for w in g.neighbors(u) if w in link] for u in link}
+    seen = set()
+    for start in sorted(link):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, stack = [], [start]
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in inner[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        degs = [len(inner[u]) for u in comp]
+        yield len(comp), sum(degs) // 2, max(degs)
+
+
+def _simplex(g: Graph, d: int):
+    """At most d + 1 points of R^d are pairwise at unit distance."""
+    return {"k": d + 2} if _contains_multipartite(g, (1,) * (d + 2)) else None
+
+
+def _lenz(g: Graph, d: int):
+    return {"parts": d // 2 + 1} if is_krt_obstructed(g, d) else None
+
+
+def _plane_common_nbrs(g: Graph, d: int):
+    """Two unit circles about distinct centres meet in at most two points."""
+    return {"common": 3} if d == 2 and _contains_multipartite(g, (2, 3)) else None
+
+
+def _plane_link(g: Graph, d: int):
+    """N(v) lies on the unit circle about v, where a unit chord spans 60
+    degrees. So a point has at most two link neighbours, at +-60 degrees, and
+    each component of the link is a subgraph of a hexagon's 6-cycle: a path
+    on at most 6 vertices, or C_6 itself."""
+    if d != 2:
+        return None
+    for v in range(g.n):
+        for order, size, top in _link_components(g, v):
+            if top > 2 or (order > 6 if size < order else order != 6):
+                return {"order": order, "edges": size}
+    return None
+
+
+# The refutation rules in the order they are tried; the first that fires wins.
+# Each is sound for distance realizations with distinct points, hence for
+# faithful ones. A rule runs on a class representative and every labelled
+# copy shares its entry, so params describe the obstruction, never its
+# vertices.
+_RULES = (
+    ("simplex", _simplex),
+    ("lenz", _lenz),
+    ("plane_common_nbrs", _plane_common_nbrs),
+    ("plane_link", _plane_link),
+)
+
+
+def _refuting_rule(g: Graph, d: int):
+    """The first rule of the table that proves g has no distance realization
+    in R^d (d >= 2), as {"rule": name, "params": {...}}, or None."""
+    for name, test in _RULES:
+        params = test(g, d)
+        if params is not None:
+            return {"rule": name, "params": params}
+    return None
 
 
 def _pairs(n: int) -> tuple:
@@ -130,12 +219,19 @@ def _gather(mask: int, positions) -> int:
     return out
 
 
-def _mask_edges(mask: int, pairs: tuple) -> tuple:
-    return tuple(p for i, p in enumerate(pairs) if mask >> i & 1)
+def _edge_table(n: int) -> list:
+    """The edges of every n-vertex mask, in mask order: a mask's edges are
+    those of the mask without its top bit, then the top bit's pair."""
+    pairs = _pairs(n)
+    table = [()]
+    for mask in range(1, 1 << len(pairs)):
+        top = mask.bit_length() - 1
+        table.append(table[mask ^ 1 << top] + (pairs[top],))
+    return table
 
 
 def _graph_of_mask(mask: int, n: int) -> Graph:
-    return Graph(n, _mask_edges(mask, _pairs(n)))
+    return Graph(n, (p for i, p in enumerate(_pairs(n)) if mask >> i & 1))
 
 
 def _canonical_masks(n: int) -> list:
@@ -155,18 +251,19 @@ def _canonical_masks(n: int) -> list:
 
 
 def _classify_rep(mask: int, n: int, d: int, semantics: str, cfg: SolverConfig):
-    """Classify one representative graph; returns (status, method, residual)."""
+    """Classify one representative graph; returns (status, method, residual, rule)."""
     g = _graph_of_mask(mask, n)
-    if semantics == "distance" and is_krt_obstructed(g, d):
-        return STATUS_PRESUMED_NOT, METHOD_EXACT, None
     if d == 1:
         ok = linear_forest_oracle(g)
-        return (STATUS_REALIZABLE if ok else STATUS_PRESUMED_NOT), METHOD_EXACT, None
+        return (STATUS_REALIZABLE if ok else STATUS_NOT_REALIZABLE), METHOD_EXACT, None, None
+    rule = _refuting_rule(g, d)
+    if rule is not None:
+        return STATUS_NOT_REALIZABLE, METHOD_RULE, None, rule
     solve = solve_faithful if semantics == "faithful" else solve_distance
     res = solve(g, d, cfg)
     if res.status == "FOUND":
-        return STATUS_REALIZABLE, METHOD_FOUND, res.residual
-    return STATUS_PRESUMED_NOT, METHOD_EXHAUSTED, res.best_residual
+        return STATUS_REALIZABLE, METHOD_FOUND, res.residual, None
+    return STATUS_PRESUMED_NOT, METHOD_EXHAUSTED, res.best_residual, None
 
 
 @dataclass(frozen=True)
@@ -178,6 +275,7 @@ class GraphEntry:
     status: str
     method: str
     residual: float | None
+    rule: dict | None = None  # the refuting {"rule", "params"} of a CERTIFIED_RULE entry
 
     def to_dict(self) -> dict:
         return {
@@ -186,18 +284,25 @@ class GraphEntry:
             "status": self.status,
             "method": self.method,
             "residual": self.residual,
+            "rule": self.rule,
         }
 
 
 @dataclass(frozen=True)
 class CensusReport:
-    """Counts of realizable labelled graphs on n vertices in R^d."""
+    """Counts of realizable labelled graphs on n vertices in R^d.
+
+    count_presumed_not is the complement of count_realizable: it takes in the
+    count_refuted graphs a proof rules out as well as the SOLVER_EXHAUSTED
+    ones.
+    """
 
     n: int
     d: int
     semantics: str
     count_realizable: int
     count_presumed_not: int
+    count_refuted: int
     entries: tuple
     config: dict
 
@@ -213,6 +318,7 @@ class CensusReport:
             "semantics": self.semantics,
             "count_realizable": self.count_realizable,
             "count_presumed_not": self.count_presumed_not,
+            "count_refuted": self.count_refuted,
             "exact": self.exact,
             "config": self.config,
             "entries": [e.to_dict() for e in self.entries],
@@ -222,11 +328,12 @@ class CensusReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def to_csv(self) -> str:
-        lines = ["graph_id,edges,status,method,residual"]
+        lines = ["graph_id,edges,status,method,residual,rule"]
         for e in self.entries:
             edges = " ".join(f"{u}-{v}" for u, v in e.edges)
             residual = "" if e.residual is None else format(e.residual, ".17g")
-            lines.append(f"n{self.n}-mask{e.mask},{edges},{e.status},{e.method},{residual}")
+            rule = "" if e.rule is None else e.rule["rule"]
+            lines.append(f"n{self.n}-mask{e.mask},{edges},{e.status},{e.method},{residual},{rule}")
         return "\n".join(lines) + "\n"
 
 
@@ -248,14 +355,11 @@ def _run_census(n: int, d: int, semantics: str, cfg: SolverConfig, jobs: int) ->
         outcomes = list(map(_classify_rep, *args))
     by_rep = dict(zip(reps, outcomes))
 
-    pairs = _pairs(n)
-    entries = []
-    realizable = 0
-    for mask, rep in enumerate(canon):
-        status, method, residual = by_rep[rep]
-        entries.append(GraphEntry(mask, _mask_edges(mask, pairs), status, method, residual))
-        if status == STATUS_REALIZABLE:
-            realizable += 1
+    entries = tuple(GraphEntry(mask, edges, *by_rep[rep])
+                    for mask, (rep, edges) in enumerate(zip(canon, _edge_table(n))))
+    labelled = Counter()  # labelled graphs per status, summed over the classes
+    for rep, size in Counter(canon).items():
+        labelled[by_rep[rep][0]] += size
 
     config = {
         "solver": {
@@ -272,9 +376,10 @@ def _run_census(n: int, d: int, semantics: str, cfg: SolverConfig, jobs: int) ->
         n=n,
         d=d,
         semantics=semantics,
-        count_realizable=realizable,
-        count_presumed_not=len(canon) - realizable,
-        entries=tuple(entries),
+        count_realizable=labelled[STATUS_REALIZABLE],
+        count_presumed_not=len(canon) - labelled[STATUS_REALIZABLE],
+        count_refuted=labelled[STATUS_NOT_REALIZABLE],
+        entries=entries,
         config=config,
     )
 

@@ -2,7 +2,8 @@
 
 The induced unit-distance graph of a point set has an edge wherever the
 distance is within tol of 1. Faithful verification demands that induced graph
-equal the claimed graph; distance verification only checks the claimed edges.
+equal the claimed graph; distance verification checks the claimed edges and
+that the points are distinct.
 Every vertex pair in the package is classified by classify_pairs.
 """
 
@@ -119,8 +120,10 @@ class Report:
 def verify(g: Graph, embedding, mode: str = "faithful", tol: float = TOL_GEOM) -> Report:
     """Check an embedding of g. Returns a Report; raises on malformed input.
 
-    mode "distance": every edge must have length within tol of 1.
-    mode "faithful": additionally no non-edge may, and points must be distinct.
+    Both modes place the vertices at distinct points.
+    mode "distance": every edge must have length within tol of 1, and no two
+    points may lie within tol of each other.
+    mode "faithful": additionally no non-edge may have length within tol of 1.
     Violations carry the offending pair, its distance, and a kind tag
     ("edge_not_unit", "coincident" or "nonedge_unit"), in pair order.
     """
@@ -128,6 +131,8 @@ def verify(g: Graph, embedding, mode: str = "faithful", tol: float = TOL_GEOM) -
         raise ValueError(f"mode must be one of {MODES}")
     p = classify_pairs(g, getattr(embedding, "points", embedding))
     bad = p.edge & (p.dev > tol)
+    if mode == "distance":
+        bad |= ~p.edge & (p.dist <= tol)
     ambiguous = ()
     if mode == "faithful":
         non = ~p.edge

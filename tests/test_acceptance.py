@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from udgraph import census
 from udgraph.audit import faithful_dim_audit, lemedge2_guarantee, lemedge_bound
 from udgraph.census import (
     count_faithful,
@@ -110,7 +111,7 @@ def test_criterion_3_audits_and_solver_consistency():
           f"kprime(4,5)@d+1 found, {elapsed:.1f}s")
 
 
-def test_criterion_4_census_exactness():
+def test_criterion_4_census_exactness(monkeypatch):
     t0 = time.perf_counter()
     r41 = count_faithful(4, 1)
     assert r41.count_realizable == 34
@@ -123,17 +124,26 @@ def test_criterion_4_census_exactness():
         solved = solve_faithful(g, 1, cfg).status == "FOUND"
         assert oracle == solved, f"disagreement at mask {mask}"
     assert count_faithful(3, 2, SolverConfig(seed=0, restarts=40)).count_realizable == 8
+    solver_inputs = []
+
+    def recording_solve(g, d, cfg):
+        solver_inputs.append(g)
+        return solve_faithful(g, d, cfg)
+
+    monkeypatch.setattr(census, "solve_faithful", recording_solve)
     r42 = count_faithful(4, 2)  # default config: 200 restarts
     assert r42.count_realizable == 63
-    exhausted = [e for e in r42.entries if e.method == "SOLVER_EXHAUSTED"]
+    assert not [e for e in r42.entries if e.method == "SOLVER_EXHAUSTED"]
     k4_mask = (1 << 6) - 1
-    assert [e.mask for e in exhausted] == [k4_mask]
-    assert all(e.residual > 1e-3 for e in exhausted)
+    k4 = r42.entries[k4_mask]
+    assert (k4.status, k4.method) == ("NOT_REALIZABLE", "CERTIFIED_RULE")
+    assert k4.rule == {"rule": "simplex", "params": {"k": 4}}
+    assert [e.mask for e in r42.entries if e.status != "REALIZABLE"] == [k4_mask]
+    assert solver_inputs and all(g.m < 6 for g in solver_inputs)  # the solver never sees K_4
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
     print(f"\n[PASS] criterion 4: count(4,1)=34 with 64/64 solver agreement, "
-          f"count(3,2)=8, count(4,2)=63 with K_4 exhausted at residual "
-          f"{exhausted[0].residual:.3f}, {elapsed:.0f}s")
+          f"count(3,2)=8, count(4,2)=63 with K_4 refuted by simplex, {elapsed:.0f}s")
 
 
 def test_criterion_5_zero_pattern_bound():

@@ -86,10 +86,9 @@ def test_hsystem_of_empty_ground_has_no_conditions():
 def test_audit_of_edgeless_graph_with_empty_side(n, d):
     g = Graph(n, ())
     report = faithful_dim_audit(g, d)
-    assert report.verdict in ("REALIZABLE", "UNDECIDED")
-    if report.verdict == "REALIZABLE":
-        assert report.embedding.dim == d
-        assert verify(g, report.embedding, mode="faithful", tol=1e-7).passed
+    assert report.verdict == "REALIZABLE"
+    assert report.embedding.dim == d
+    assert verify(g, report.embedding, mode="faithful", tol=1e-7).passed
     json.loads(report.to_json())
 
 

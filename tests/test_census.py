@@ -1,12 +1,17 @@
 """Census counting, exact oracles, and the Ramsey-style calculators."""
 
+import json
 import math
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
 
 from udgraph.census import (
     _canonical_masks,
+    _graph_of_mask,
+    _RULES,
+    _refuting_rule,
     count_distance,
     count_faithful,
     is_krt_obstructed,
@@ -15,8 +20,9 @@ from udgraph.census import (
     ramsey_fd_lower,
     zero_pattern_bound,
 )
-from udgraph.graphs import Graph, make_complete, make_complete_multipartite
-from udgraph.solver import SolverConfig
+from udgraph.graphs import Graph, make_complete, make_complete_multipartite, make_kdoubleprime
+from udgraph.solver import SolverConfig, solve_faithful
+from udgraph.verify import verify
 
 _FAST = SolverConfig(restarts=30, max_iters=600)
 
@@ -60,6 +66,9 @@ def test_count_faithful_on_the_line():
     r = count_faithful(4, 1)
     assert r.count_realizable == 34
     assert r.count_presumed_not == 64 - 34
+    pairs = list(combinations(range(4), 2))
+    assert [e.edges for e in r.entries] == [
+        tuple(p for i, p in enumerate(pairs) if mask >> i & 1) for mask in range(64)]
     assert r.exact
     assert count_faithful(5, 1).count_realizable == 206
 
@@ -98,8 +107,12 @@ def test_count_reports_are_well_formed():
     assert r.count_realizable + r.count_presumed_not == 2 ** math.comb(3, 2)
     assert len(r.entries) == 8
     assert {e.method for e in r.entries} == {"EXACT_ORACLE"}
+    # the oracle's negative (K_3 on the line) is a proof, not a presumption
+    assert {e.status for e in r.entries if len(e.edges) == 3} == {"NOT_REALIZABLE"}
+    assert r.count_refuted == 1
+    assert all(e.rule is None for e in r.entries)
     csv = r.to_csv()
-    assert csv.splitlines()[0] == "graph_id,edges,status,method,residual"
+    assert csv.splitlines()[0] == "graph_id,edges,status,method,residual,rule"
     assert len(csv.splitlines()) == 9
     assert "isomorphism_classes" in r.config
 
@@ -122,7 +135,7 @@ def test_census_monotone_in_dimension():
 
 def test_census_rejects_out_of_range():
     with pytest.raises(ValueError):
-        count_faithful(6, 1)
+        count_faithful(7, 1)
     with pytest.raises(ValueError):
         count_faithful(3, 0)
 
@@ -142,6 +155,136 @@ def test_krt_obstruction():
     assert is_krt_obstructed(make_complete(6), 2)
     assert not is_krt_obstructed(make_complete(5), 2)
     assert not is_krt_obstructed(k33, 1)  # single part: nothing to check
+
+
+def _wheel(k):
+    """Hub 0 joined to every vertex of the rim cycle 1..k."""
+    rim = [(i, i % k + 1) for i in range(1, k + 1)]
+    return Graph(k + 1, rim + [(0, i) for i in range(1, k + 1)])
+
+
+def _rules_firing(g, d):
+    return [name for name, test in _RULES if test(g, d) is not None]
+
+
+def test_rule_table_order_and_names():
+    assert [name for name, _ in _RULES] == ["simplex", "lenz", "plane_common_nbrs", "plane_link"]
+    assert _refuting_rule(make_complete(4), 2) == {"rule": "simplex", "params": {"k": 4}}
+    assert _refuting_rule(make_complete(5), 3) == {"rule": "simplex", "params": {"k": 5}}
+    k23 = make_complete_multipartite([2, 3])
+    assert _refuting_rule(k23, 2) == {"rule": "plane_common_nbrs", "params": {"common": 3}}
+    assert _refuting_rule(k23, 3) is None
+
+
+def _fan(k):
+    """Hub 0 joined to every vertex of the path 1..k."""
+    return Graph(k + 1, [(i, i + 1) for i in range(1, k)] + [(0, i) for i in range(1, k + 1)])
+
+
+def test_plane_link_alone_refutes_the_5_wheel():
+    w5 = _wheel(5)
+    assert _rules_firing(w5, 2) == ["plane_link"]
+    assert _refuting_rule(w5, 2) == {"rule": "plane_link", "params": {"order": 5, "edges": 5}}
+    assert _refuting_rule(w5, 3) is None
+
+
+def test_plane_link_bounds_each_link_component():
+    # six unit steps of 60 degrees close the circle, so a path of 7 in the
+    # link would put its ends on one point
+    assert _rules_firing(_fan(6), 2) == []
+    assert _rules_firing(_fan(7), 2) == ["plane_link"]
+    assert _refuting_rule(_fan(7), 2)["params"] == {"order": 7, "edges": 6}
+    # a link vertex with three link neighbours; K_{2,3} catches it first
+    k113 = make_complete_multipartite([1, 1, 3])
+    assert _rules_firing(k113, 2) == ["plane_common_nbrs", "plane_link"]
+    assert _RULES[3][1](k113, 2) == {"order": 4, "edges": 3}
+
+
+def test_faithful_plane_graphs_trip_no_rule():
+    # the 6-wheel is a hexagon with its centre; K_{1,6} is a centre with six
+    # unit spokes at generic angles: both are faithful in the plane
+    for g in (_wheel(6), make_complete_multipartite([1, 6])):
+        assert _rules_firing(g, 2) == []
+
+
+def test_lenz_refutes_k33_below_dimension_four():
+    k33 = make_complete_multipartite([3, 3])
+    assert _refuting_rule(k33, 3) == {"rule": "lenz", "params": {"parts": 2}}
+    assert _refuting_rule(k33, 2)["rule"] == "lenz"
+    assert _refuting_rule(k33, 4) is None
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_rules_never_refute_a_solved_class(d):
+    # soundness: a class with a verified faithful witness trips no rule
+    cfg = SolverConfig(seed=0, restarts=20, max_iters=400)
+    found = 0
+    for mask in sorted(set(_canonical_masks(5))):
+        g = _graph_of_mask(mask, 5)
+        res = solve_faithful(g, d, cfg)
+        if res.status == "FOUND" and verify(g, res.embedding, mode="faithful", tol=1e-7).passed:
+            found += 1
+            assert _refuting_rule(g, d) is None, f"rule refutes solved mask {mask} in R^{d}"
+    assert found >= 20
+
+
+@pytest.fixture(scope="module")
+def census6():
+    return {d: count_faithful(6, d) for d in (2, 3)}
+
+
+def _tally(report):
+    methods = Counter(e.method for e in report.entries)
+    rules = Counter(e.rule["rule"] for e in report.entries if e.rule is not None)
+    return methods, rules
+
+
+def test_census_n6_plane_counts(census6):
+    r = census6[2]
+    methods, rules = _tally(r)
+    assert (r.count_realizable, r.count_refuted) == (20314, 11734)
+    assert methods == {"SOLVER_FOUND": 20314, "CERTIFIED_RULE": 11734, "SOLVER_EXHAUSTED": 720}
+    assert rules == {"simplex": 5142, "lenz": 130, "plane_common_nbrs": 6390, "plane_link": 72}
+    assert r.count_presumed_not == (1 << 15) - 20314
+
+
+def test_census_n6_space_counts(census6):
+    r = census6[3]
+    methods, rules = _tally(r)
+    assert (r.count_realizable, r.count_refuted, r.count_presumed_not) == (32131, 637, 637)
+    assert methods == {"SOLVER_FOUND": 32131, "CERTIFIED_RULE": 637}
+    assert rules == {"simplex": 172, "lenz": 465}
+
+
+def test_census_entries_carry_their_rule(census6):
+    doc = json.loads(json.dumps(census6[2].to_dict()))
+    assert doc["count_refuted"] == 11734
+    for e in doc["entries"]:
+        assert (e["rule"] is not None) == (e["method"] == "CERTIFIED_RULE")
+        assert (e["status"] == "NOT_REALIZABLE") == (e["method"] == "CERTIFIED_RULE")
+    # K_4 on vertices 0..3 plus two isolated vertices
+    k4 = next(e.mask for e in census6[2].entries if set(e.edges) == set(combinations(range(4), 2)))
+    assert doc["entries"][k4]["rule"] == {"rule": "simplex", "params": {"k": 4}}
+    rows = census6[2].to_csv().splitlines()
+    assert rows[1 + k4].endswith(",NOT_REALIZABLE,CERTIFIED_RULE,,simplex")
+
+
+def test_fewest_edges_of_a_nonfaithful_graph(census6):
+    # the paper's second-part quantity at small n: K_4 and K_{2,3} in the
+    # plane (6 edges), K_{3,3} = K''_3 in space (9 edges)
+    r52 = count_faithful(5, 2)
+    for r in (r52, census6[2]):
+        assert min(len(e.edges) for e in r.entries if e.status != "REALIZABLE") == 6
+    six = {_refuting_rule(_graph_of_mask(e.mask, 6), 2)["rule"]
+           for e in census6[2].entries if e.status != "REALIZABLE" and len(e.edges) == 6}
+    assert six == {"simplex", "plane_common_nbrs"}
+    exhausted = {len(e.edges) for e in census6[2].entries if e.method == "SOLVER_EXHAUSTED"}
+    assert exhausted == {8, 9}
+    space = [e for e in census6[3].entries if e.status != "REALIZABLE"]
+    fewest = min(len(e.edges) for e in space)
+    assert fewest == make_kdoubleprime(3).m == 9
+    assert {e.rule["rule"] for e in space if len(e.edges) == fewest} == {"lenz"}
+    assert sum(len(e.edges) == fewest for e in space) == 10  # labelled copies of K_{3,3}
 
 
 def test_ramsey_fd_lower_values():

@@ -141,6 +141,14 @@ def test_census_exact_only_guard(capsys, monkeypatch):
     assert "exact" in err
 
 
+def test_census_beyond_n6_exits_2(capsys, monkeypatch):
+    code, out, err = _run(capsys, monkeypatch, ["census", "--n", "7", "--dim", "2"])
+    assert code == 2
+    assert out == ""
+    assert "census supports 1 <= n <= 6" in err
+    assert "Traceback" not in err
+
+
 _GRAPH_OK = {"n": 2, "edges": [[0, 1]]}
 
 

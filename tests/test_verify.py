@@ -51,6 +51,17 @@ def test_verify_warns_near_tolerance_cliff():
     assert report.ambiguous == ((0, 1),)
 
 
+def test_verify_distance_mode_rejects_coincident_nonadjacent_points():
+    # K_{1,2} with both leaves on one point: every edge is unit, yet the
+    # points are not distinct
+    g = Graph(3, [(0, 1), (0, 2)])
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+    for mode in ("distance", "faithful"):
+        report = verify(g, pts, mode=mode, tol=1e-9)
+        assert not report.passed
+        assert report.violations == ({"pair": (1, 2), "distance": 0.0, "kind": "coincident"},)
+
+
 def test_verify_embedding_object_and_size_mismatch():
     g = make_complete(2)
     emb = Embedding(2, np.array([[0.0, 0.0], [1.0, 0.0]]))
@@ -92,10 +103,10 @@ def _reference_verify(g, pts, mode, tol):
         if g.has_edge(i, j):
             if dev > tol:
                 violations.append({"pair": (i, j), "distance": d, "kind": "edge_not_unit"})
+        elif d <= tol:  # both semantics place vertices at distinct points
+            violations.append({"pair": (i, j), "distance": d, "kind": "coincident"})
         elif mode == "faithful":
-            if d <= tol:
-                violations.append({"pair": (i, j), "distance": d, "kind": "coincident"})
-            elif dev <= tol:
+            if dev <= tol:
                 violations.append({"pair": (i, j), "distance": d, "kind": "nonedge_unit"})
             elif dev <= 3.0 * tol:
                 ambiguous.append((i, j))
