@@ -113,17 +113,15 @@ def lemedge_bound(k: int) -> int:
 def lemedge2_guarantee(sizes) -> tuple:
     """Greedy maximal subsequence with |H_{i_j}| >= j+2; returns (s, s+1).
 
-    The system is realizable on S^k for every k >= s+1, so s+1 is the
+    The greedy walk is growth_dimension's, with s its number of growth
+    steps. The system is realizable on S^k for every k >= s+1, so s+1 is the
     guaranteed sphere dimension. Expects sizes nondecreasing.
     """
     sizes = list(sizes)
     if any(sizes[i] > sizes[i + 1] for i in range(len(sizes) - 1)):
         raise ValueError("sizes must be nondecreasing")
-    s = 0
-    for size in sizes:
-        if size >= s + 3:
-            s += 1
-    return s, s + 1
+    k = growth_dimension(sizes)
+    return k - 1, k
 
 
 def edge_sum(h: HSystem) -> int:
@@ -236,11 +234,9 @@ def _construct_side(g: Graph, d_query: int, cond_side, ground, h: HSystem,
 
     for attempt in range(20):
         try:
-            k_alg, unit_pts = realize_hsystem(
+            _, unit_pts = realize_hsystem(
                 h, FlatnessBudget(eps=0.2), seed=seed * 1009 + attempt)
         except RealizationError:
-            continue
-        if k_alg != k:
             continue
         rng = np.random.default_rng([seed, attempt, 77])
         bpts = np.pad(r * unit_pts, ((0, 0), (0, d_up - unit_pts.shape[1])))
@@ -249,7 +245,7 @@ def _construct_side(g: Graph, d_query: int, cond_side, ground, h: HSystem,
             continue
         emb = verified_witness(g, d_query, ground, bpts, placed)
         if emb is not None:
-            return emb, {"k": k_alg, "s": s, "dim_constructed": d_up, "r": r}
+            return emb, {"k": k, "s": s, "dim_constructed": d_up, "r": r}
     return None
 
 

@@ -51,6 +51,8 @@ def zero_pattern_bound(n: int, d: int) -> int:
     n(n-1) (and n >= 2d) to say anything; out-of-range inputs are rejected
     with the failing inequality, not computed.
     """
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got d={d}")
     if n < 2 * d:
         raise ValueError(f"zero-pattern bound needs n >= 2d, got n={n}, d={d}")
     if n * d >= n * (n - 1):
@@ -325,7 +327,7 @@ class CensusReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     def to_csv(self) -> str:
         lines = ["graph_id,edges,status,method,residual,rule"]
@@ -407,6 +409,8 @@ def ramsey_fd_lower(s: int, d: int) -> int:
     """
     if s < 2:
         raise ValueError(f"need s >= 2, got s={s}")
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got d={d}")
     if s < 2 * d:
         raise ValueError(f"need s >= 2d, got s={s}, d={d}")
     full = 1 << math.comb(s, 2)

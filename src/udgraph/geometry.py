@@ -111,15 +111,9 @@ class AffineFlat:
     def ambient_dim(self) -> int:
         return self.base.shape[0]
 
-    def project(self, x) -> np.ndarray:
-        """Orthogonal projection of x onto the flat."""
-        x = np.asarray(x, dtype=float)
-        r = x - self.base
-        return self.base + self.basis.T @ (self.basis @ r)
-
     def contains(self, x, tol: float = TOL_GEOM) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.linalg.norm(x - self.project(x)) <= tol)
+        r = np.asarray(x, dtype=float) - self.base
+        return bool(np.linalg.norm(r - self.basis.T @ (self.basis @ r)) <= tol)
 
 
 def orthonormal_complement(basis: np.ndarray, ambient_dim: int) -> np.ndarray:

@@ -71,10 +71,12 @@ def classify_pairs(g: Graph | None, points) -> Pairs:
 def induced_udg(points, tol: float = TOL_GEOM) -> Graph:
     """Graph on the point indices whose edges are the unit-distance pairs.
 
-    Coincident points (pairwise distance <= tol) raise ValueError. Pairs whose
-    deviation from unit length falls in the ambiguity band (tol, 3*tol] emit a
-    ToleranceCliffWarning.
+    Coincident points (pairwise distance <= tol) raise ValueError, as does a
+    tol that is not finite and >= 0. Pairs whose deviation from unit length
+    falls in the ambiguity band (tol, 3*tol] emit a ToleranceCliffWarning.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     pts = as_points(points)
     p = classify_pairs(None, pts)
     coincident = np.flatnonzero(p.dist <= tol)
@@ -126,9 +128,12 @@ def verify(g: Graph, embedding, mode: str = "faithful", tol: float = TOL_GEOM) -
     mode "faithful": additionally no non-edge may have length within tol of 1.
     Violations carry the offending pair, its distance, and a kind tag
     ("edge_not_unit", "coincident" or "nonedge_unit"), in pair order.
+    tol must be finite and >= 0.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     p = classify_pairs(g, getattr(embedding, "points", embedding))
     bad = p.edge & (p.dev > tol)
     if mode == "distance":

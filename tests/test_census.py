@@ -54,6 +54,12 @@ def test_zero_pattern_bound_rejections():
         zero_pattern_bound(3, 2)  # n < 2d
 
 
+@pytest.mark.parametrize("n, d", [(-1, -1), (3, -1), (4, 0)])
+def test_zero_pattern_bound_rejects_dimension_below_1(n, d):
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        zero_pattern_bound(n, d)
+
+
 def test_linear_forest_oracle():
     assert linear_forest_oracle(Graph(4, [(0, 1), (1, 2), (2, 3)]))  # P_4
     assert not linear_forest_oracle(Graph(4, [(0, 1), (0, 2), (0, 3)]))  # K_{1,3}
@@ -115,6 +121,14 @@ def test_count_reports_are_well_formed():
     assert csv.splitlines()[0] == "graph_id,edges,status,method,residual,rule"
     assert len(csv.splitlines()) == 9
     assert "isomorphism_classes" in r.config
+
+
+@pytest.mark.parametrize("n, d", [(4, 1), (4, 2)])
+def test_census_json_is_one_line_of_the_report_dict(n, d):
+    r = count_faithful(n, d, _FAST)
+    text = r.to_json()
+    assert "\n" not in text
+    assert json.loads(text) == r.to_dict()
 
 
 def test_count_distance_small_cases():
@@ -314,6 +328,14 @@ def test_ramsey_fd_lower_rejections():
         ramsey_fd_lower(1, 1)
     with pytest.raises(ValueError):
         ramsey_fd_lower(3, 2)  # s < 2d
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_ramsey_fd_lower_rejects_dimension_below_1(d):
+    # not caught as the zero-pattern bound's hypothesis failing, which
+    # falls back to 2^C(s,2) and answers
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        ramsey_fd_lower(3, d)
 
 
 def test_ramsey_exact_values():

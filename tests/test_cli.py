@@ -150,6 +150,12 @@ def test_census_beyond_n6_exits_2(capsys, monkeypatch):
 
 
 _GRAPH_OK = {"n": 2, "edges": [[0, 1]]}
+_TRIANGLE = {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}
+_LONG_EDGE = {"graph": _GRAPH_OK, "embedding": {"dim": 1, "points": [[0.0], [5.0]]}}
+
+
+def _with_points(dim, points):
+    return {"graph": _GRAPH_OK, "embedding": {"dim": dim, "points": points}}
 
 
 @pytest.mark.parametrize(
@@ -161,6 +167,24 @@ _GRAPH_OK = {"n": 2, "edges": [[0, 1]]}
         (["audit", "--dim", "2"], {"n": 3, "edges": [], "bipartition_a": 5}),
         (["audit", "--dim", "2"], {"n": True, "edges": []}),
         (["verify"], {"graph": _GRAPH_OK, "embedding": {"dim": 2}}),
+        pytest.param(["verify"], _with_points(1, [[0.0], [float("nan")]]), id="nan-points"),
+        pytest.param(["verify"], _with_points(2, [[0.0, 0.0], [1.0]]), id="ragged-points"),
+        pytest.param(["verify"], _with_points(3, [[0.0, 0.0], [1.0, 0.0]]), id="dim-mismatch"),
+        pytest.param(["audit", "--dim", "2"], _TRIANGLE, id="audit-not-bipartite"),
+        pytest.param(["realize", "--method", "bipartite", "--dim", "2"], _TRIANGLE,
+                     id="realize-not-bipartite"),
+        pytest.param(["audit", "--dim", "-1"], _GRAPH_OK, id="audit-negative-dim"),
+        pytest.param(["census", "--n", "3", "--dim", "-1"], None, id="census-negative-dim"),
+        pytest.param(["realize", "--method", "numeric", "--dim", "-1"], _GRAPH_OK,
+                     id="numeric-negative-dim"),
+        pytest.param(["verify", "--tol", "nan"], _LONG_EDGE, id="tol-nan"),
+        pytest.param(["verify", "--tol", "inf"], _LONG_EDGE, id="tol-inf"),
+        pytest.param(["verify", "--tol", "-1"], _LONG_EDGE, id="tol-negative"),
+        pytest.param(["bound", "zero-pattern", "--n", "-1", "--dim", "-1"], None,
+                     id="bound-negative-n-and-dim"),
+        pytest.param(["bound", "zero-pattern", "--n", "3", "--dim", "-1"], None,
+                     id="bound-negative-dim"),
+        pytest.param(["ramsey", "lower", "--s", "3", "--dim", "0"], None, id="ramsey-dim-0"),
     ],
 )
 def test_malformed_document_exits_2(capsys, monkeypatch, argv, doc):
@@ -168,6 +192,7 @@ def test_malformed_document_exits_2(capsys, monkeypatch, argv, doc):
     assert code == 2
     assert out == ""
     assert err.startswith("udgraph: error:")
+    assert "Traceback" not in err
 
 
 def test_malformed_udg_jobs_exits_2(capsys, monkeypatch):

@@ -1,6 +1,5 @@
 """Constructive embeddings: orthogonal circles, bipartite placement, H-systems."""
 
-import math
 from itertools import combinations
 
 import numpy as np
@@ -30,8 +29,6 @@ from udgraph.embed import (
 from udgraph.geometry import (
     affine_rank,
     circumsphere,
-    complementary_sphere,
-    minimal_sphere,
 )
 from udgraph.graphs import (
     Graph,
@@ -184,6 +181,7 @@ def test_realize_dimension_never_exceeds_guarantee(h, seed):
 
     k, pts = realize_hsystem(h, seed=seed)
     s, k_ok = lemedge2_guarantee(h.sizes)
+    assert k == growth_dimension(h.sizes)
     assert k <= k_ok
     assert pts.shape == (h.m, k + 1)
     np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-9)
@@ -308,15 +306,12 @@ def _conditions_hold_reference(points, conditions, upto):
     return True
 
 
-def _b_cluster_ok_reference(pts, nbhds, d):
+def _b_cluster_ok_reference(pts, d):
     m = pts.shape[0]
     if m == 0:
         return True
     dist = [np.linalg.norm(pts[i] - pts[j]) for i, j in combinations(range(m), 2)]
     if min(dist, default=np.inf) < 1e-3 or max(dist, default=0.0) > B_DIAMETER:
-        return False
-    radius_hat = float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).max())
-    if abs(radius_hat - 0.5) < 0.05:
         return False
     for t in range(3, min(d + 1, m) + 1):
         for sub in combinations(range(m), t):
@@ -326,34 +321,6 @@ def _b_cluster_ok_reference(pts, nbhds, d):
         for sub in combinations(range(m), d + 1):
             if abs(circumsphere(pts[list(sub)]).radius - 1.0) < 1e-3:
                 return False
-    full = sorted({hb for hb in nbhds if len(hb) == d}, key=sorted)
-    spheres = {}
-    for hb in set(nbhds):
-        sph = minimal_sphere(pts[sorted(hb)]) if hb else None
-        if sph is not None and sph.radius > 0.9:
-            return False
-        spheres[hb] = sph
-    poles = {}
-    for hb in full:
-        comp = complementary_sphere(spheres[hb], d)
-        u = comp.flat.basis[0]
-        poles[hb] = (comp.center + comp.radius * u, comp.center - comp.radius * u)
-    for h1, h2 in combinations(full, 2):
-        for y1 in poles[h1]:
-            for y2 in poles[h2]:
-                gap = np.linalg.norm(y1 - y2)
-                if abs(gap - 1.0) < 1e-3 or gap < 1e-3:
-                    return False
-    for h1 in full:
-        for h2, sph in spheres.items():
-            if h1 == h2 or sph is None or sph.flat.dim == 0:
-                continue
-            for y in poles[h1]:
-                proj = sph.flat.project(y)
-                off_flat = np.linalg.norm(y - proj)
-                on_flat = abs(np.linalg.norm(proj - sph.center) - sph.radius)
-                if math.hypot(off_flat, on_flat) < 1e-3:
-                    return False
     return True
 
 
@@ -379,15 +346,10 @@ _CLUSTER_KINDS = ["sampled", "collinear", "unit_sphere"]
 
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 9), d=st.integers(2, 4),
-       kind=st.sampled_from(_CLUSTER_KINDS), n_nbhds=st.integers(0, 5))
-def test_b_cluster_ok_matches_loop_reference(seed, m, d, kind, n_nbhds):
-    rng = np.random.default_rng(seed)
-    pts = _cluster(kind, m, d, rng)
-    nbhds = []
-    for _ in range(n_nbhds if m else 0):
-        size = int(rng.integers(1, min(d, m) + 1))
-        nbhds.append(frozenset(int(i) for i in rng.choice(m, size=size, replace=False)))
-    assert _b_cluster_ok(pts, nbhds, d) == _b_cluster_ok_reference(pts, nbhds, d)
+       kind=st.sampled_from(_CLUSTER_KINDS))
+def test_b_cluster_ok_matches_loop_reference(seed, m, d, kind):
+    pts = _cluster(kind, m, d, np.random.default_rng(seed))
+    assert _b_cluster_ok(pts, d) == _b_cluster_ok_reference(pts, d)
 
 
 @pytest.mark.parametrize("kind", _CLUSTER_KINDS)
@@ -398,9 +360,7 @@ def test_b_cluster_ok_streams_subsets_in_blocks(monkeypatch, kind):
     for seed in range(10):
         rng = np.random.default_rng(seed)
         pts = _cluster(kind, 9, 4, rng)
-        nbhds = [frozenset(int(i) for i in rng.choice(9, size=4, replace=False))
-                 for _ in range(3)]
-        assert _b_cluster_ok(pts, nbhds, 4) == _b_cluster_ok_reference(pts, nbhds, 4)
+        assert _b_cluster_ok(pts, 4) == _b_cluster_ok_reference(pts, 4)
 
 
 def test_subset_blocks_cover_combinations_in_order(monkeypatch):
@@ -418,11 +378,11 @@ def test_b_cluster_ok_clauses(kind, expected):
     # on its own clause, and the loop form agrees
     for seed in range(20):
         pts = _sample_b_cluster(8, 3, np.random.default_rng(seed))
-        if _b_cluster_ok_reference(pts, [], 3):
+        if _b_cluster_ok_reference(pts, 3):
             break
     pts = _cluster(kind, 8, 3, np.random.default_rng(seed))
-    assert _b_cluster_ok(pts, [], 3) is expected
-    assert _b_cluster_ok_reference(pts, [], 3) is expected
+    assert _b_cluster_ok(pts, 3) is expected
+    assert _b_cluster_ok_reference(pts, 3) is expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -80,6 +80,22 @@ def test_induced_udg_rejects_coincident_points():
         induced_udg(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-7])
+def test_verify_and_induced_udg_reject_a_tolerance_not_finite_and_nonnegative(tol):
+    # an edge of length 5 would pass a NaN or infinite tolerance
+    g = Graph(2, [(0, 1)])
+    pts = np.array([[0.0], [5.0]])
+    for mode in ("faithful", "distance"):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            verify(g, pts, mode=mode, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        induced_udg(pts, tol=tol)
+
+
+def test_verify_accepts_a_zero_tolerance():
+    assert verify(Graph(2, [(0, 1)]), np.array([[0.0], [1.0]]), tol=0.0).passed
+
+
 def test_report_to_dict_shape():
     g = make_complete(2)
     report = verify(g, np.array([[0.0, 0.0], [2.0, 0.0]]), mode="distance")
