@@ -344,6 +344,8 @@ def _run_census(n: int, d: int, semantics: str, cfg: SolverConfig, jobs: int) ->
         raise ValueError(f"census supports 1 <= n <= {_MAX_CENSUS_N}, got n={n}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got d={d}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got jobs={jobs}")
     if cfg is None:
         cfg = SolverConfig()
 

@@ -30,6 +30,7 @@ from .embed import (
     RealizationError,
     embed_bipartite_faithful,
     embed_colorable,
+    embedding_from_dict,
     embedding_from_json,
 )
 from .graphs import (
@@ -72,24 +73,18 @@ def _load_graph(path: str | None) -> Graph:
 
 def _load_graph_and_embedding(args) -> tuple:
     """Resolve graph and embedding from --graph/--embedding or a piped doc."""
-    graph = None
-    embedding = None
     if args.embedding is not None:
         embedding = embedding_from_json(_read_text(args.embedding))
         if args.graph is None:
             raise ValueError("--embedding given without --graph and no piped document")
-        graph = _load_graph(args.graph)
-        return graph, embedding
-    doc = json.loads(_read_text(args.graph if args.graph else None))
-    if isinstance(doc, dict) and "embedding" in doc:
-        embedding = embedding_from_json(json.dumps(doc["embedding"]))
-        if args.graph is not None and "graph" not in doc:
-            raise ValueError("document has no graph; pass --graph separately")
-        graph = graph_from_dict(doc["graph"]) if "graph" in doc else None
-        if graph is None:
-            raise ValueError("combined document is missing its graph")
-        return graph, embedding
-    raise ValueError("no embedding found: pass --embedding or pipe a combined document")
+        return _load_graph(args.graph), embedding
+    doc = json.loads(_read_text(args.graph or None))
+    if not isinstance(doc, dict) or "embedding" not in doc:
+        raise ValueError("no embedding found: pass --embedding or pipe a combined document")
+    embedding = embedding_from_dict(doc["embedding"])
+    if "graph" not in doc:
+        raise ValueError("combined document is missing its graph; pass --graph and --embedding")
+    return graph_from_dict(doc["graph"]), embedding
 
 
 def _combined_doc(g: Graph, emb: Embedding) -> str:
@@ -213,19 +208,17 @@ def _isometric(pts):
 
 
 def _cmd_plot(args) -> int:
-    text = _read_text(args.embedding)
-    doc = json.loads(text)
+    doc = json.loads(_read_text(args.embedding))
     graph = None
     if isinstance(doc, dict) and "embedding" in doc:
         if "graph" in doc:
             graph = graph_from_dict(doc["graph"])
-        emb = embedding_from_json(json.dumps(doc["embedding"]))
-    else:
-        emb = embedding_from_json(text)
+        doc = doc["embedding"]
+    emb = embedding_from_dict(doc)
 
     proj = _isometric(emb.points)
-    lo = proj.min(axis=0)
-    hi = proj.max(axis=0)
+    lo = proj.min(axis=0, initial=np.inf)
+    hi = proj.max(axis=0, initial=-np.inf)
     span = float(max((hi - lo).max(), 1e-9))
     size, pad = 480.0, 40.0
     scale = (size - 2 * pad) / span

@@ -92,17 +92,28 @@ class Embedding:
         return {"dim": self.dim, "points": self.points.tolist()}
 
 
-def embedding_from_json(text: str) -> Embedding:
-    """Embedding from its JSON form; a malformed document raises ValueError."""
-    d = json.loads(text)
+def embedding_from_dict(d) -> Embedding:
+    """Embedding from its dict form, points shaped (len(points), dim); a
+    malformed document raises ValueError."""
     if not isinstance(d, dict) or not {"dim", "points"} <= d.keys():
         raise ValueError("an embedding document is an object with keys 'dim' and 'points'")
-    if type(d["dim"]) is not int:
-        raise ValueError(f"embedding 'dim' must be an integer, got {d['dim']!r}")
-    pts = d["points"]
+    dim, pts = d["dim"], d["points"]
+    if type(dim) is not int or dim < 0:
+        raise ValueError(f"embedding 'dim' must be a nonnegative integer, got {dim!r}")
     if not isinstance(pts, list) or not all(isinstance(row, list) for row in pts):
         raise ValueError("embedding 'points' must be a 2-D list")
-    return Embedding(dim=d["dim"], points=np.asarray(pts, dtype=float))
+    if not all(type(v) in (int, float) for row in pts for v in row):
+        raise ValueError("embedding coordinates must be numbers")
+    try:
+        points = np.asarray(pts, dtype=float) if pts else np.zeros((0, dim))
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError("embedding coordinates must fit in a float") from None
+    return Embedding(dim=dim, points=points)
+
+
+def embedding_from_json(text: str) -> Embedding:
+    """Embedding from its JSON form; a malformed document raises ValueError."""
+    return embedding_from_dict(json.loads(text))
 
 
 def _check_coloring(g: Graph, coloring) -> list:
@@ -442,10 +453,10 @@ def place_on_spheres(nbhds: dict, bpts: np.ndarray, dim: int,
             forced.append((verts[0], [ms.center]))
             continue
         comp = complementary_sphere(ms, dim)
-        if comp.dim != 0:
+        if len(comp.basis) != 1:
             sampled.extend((v, comp) for v in verts)
             continue
-        u = comp.flat.basis[0]
+        u = comp.basis[0]
         poles = [comp.center + comp.radius * u, comp.center - comp.radius * u]
         if len(verts) > 2:
             return None
@@ -544,7 +555,7 @@ def embed_bipartite_faithful(g: Graph, d: int, seed: int = 0,
 
     The B side becomes a flat cluster of diameter B_DIAMETER passing the
     general-position checks of _b_cluster_ok. place_on_spheres then puts each
-    A vertex on the complementary sphere of its neighborhood's circumsphere,
+    A vertex on the complementary sphere of its neighborhood's minimal sphere,
     so neighbor distances are exactly 1; degree-d vertices get its two poles.
     The result is verified faithfully at TOL_VERIFY, with every non-edge
     MARGIN_NONEDGE clear of unit length, before being returned.

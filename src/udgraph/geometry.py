@@ -2,10 +2,10 @@
 
 Everything here works on plain float64 arrays: a point is a 1-d array, a point
 set an (m, d) array of row vectors, and K point sets of t points each a
-(K, t, d) stack. Rank decisions use a relative SVD cutoff (TOL_RANK), metric
-comparisons an absolute tolerance (TOL_GEOM). Spheres of dimension -1 (single
-points) are legal and appear as circumspheres of one point: empty-basis flat,
-radius 0.
+(K, t, d) stack. Rank decisions use a relative SVD cutoff (TOL_RANK). A
+sphere is a plain (center, radius, basis) tuple whose orthonormal basis rows
+span its flat; the minimal sphere of one point has radius 0 and an empty
+basis.
 
 The subset-wise general-position tests run on stacks: affine_ranks takes the
 affine rank of every set in a stack with one batched SVD (affine_rank is its
@@ -16,13 +16,11 @@ simplex in a stack with one batched linear solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 TOL_RANK = 1e-8
-TOL_GEOM = 1e-9
-TOL_ORTHO = 1e-12
 
 
 def as_points(points) -> np.ndarray:
@@ -80,116 +78,12 @@ def circumradii(stack) -> np.ndarray:
     return np.sqrt(np.sum(c * c, axis=1))
 
 
-@dataclass(frozen=True, eq=False)
-class AffineFlat:
-    """Affine flat: a base point plus an orthonormal row basis of directions.
-
-    dim == number of basis rows; a single point is the dim-0 flat with an
-    empty (0, d) basis.
-    """
-
-    base: np.ndarray
-    basis: np.ndarray
-
-    def __post_init__(self):
-        base = np.asarray(self.base, dtype=float).reshape(-1)
-        basis = np.asarray(self.basis, dtype=float)
-        if basis.ndim != 2 or basis.shape[1] != base.shape[0]:
-            raise ValueError("basis must be (k, d) with d matching the base point")
-        if basis.shape[0]:
-            gram = basis @ basis.T
-            if not np.abs(gram - np.eye(basis.shape[0])).max() <= 1e-9:
-                raise ValueError("basis rows must be orthonormal")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "basis", basis)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.base.shape[0]
-
-    def contains(self, x, tol: float = TOL_GEOM) -> bool:
-        r = np.asarray(x, dtype=float) - self.base
-        return bool(np.linalg.norm(r - self.basis.T @ (self.basis @ r)) <= tol)
-
-
-def orthonormal_complement(basis: np.ndarray, ambient_dim: int) -> np.ndarray:
-    """Orthonormal basis (rows) of the orthogonal complement of the row span."""
-    basis = np.asarray(basis, dtype=float)
-    if basis.shape[0] == 0:
-        return np.eye(ambient_dim)
-    if basis.shape[1] != ambient_dim:
-        raise ValueError("basis ambient dimension mismatch")
-    _, _, vt = np.linalg.svd(basis, full_matrices=True)
-    return vt[basis.shape[0]:]
-
-
-@dataclass(frozen=True, eq=False)
-class Sphere:
-    """Sphere of dimension flat.dim - 1 inside its supporting flat."""
+class Sphere(NamedTuple):
+    """Sphere about center whose flat the orthonormal rows of basis span."""
 
     center: np.ndarray
     radius: float
-    flat: AffineFlat
-
-    def __post_init__(self):
-        center = np.asarray(self.center, dtype=float).reshape(-1)
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
-        if center.shape[0] != self.flat.ambient_dim:
-            raise ValueError("center/flat ambient dimension mismatch")
-        if not self.flat.contains(center, tol=1e-7):
-            raise ValueError("center must lie on the supporting flat")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", float(self.radius))
-
-    @property
-    def dim(self) -> int:
-        return self.flat.dim - 1
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.flat.ambient_dim
-
-    def contains(self, x, tol: float = TOL_GEOM) -> bool:
-        x = np.asarray(x, dtype=float)
-        if not self.flat.contains(x, tol=tol):
-            return False
-        return bool(abs(np.linalg.norm(x - self.center) - self.radius) <= tol)
-
-
-def circumsphere(points) -> Sphere:
-    """Unique sphere through m affinely independent points, inside their hull.
-
-    The center solves 2 (y_i - y_0) . c = |y_i|^2 - |y_0|^2 in hull
-    coordinates. A single point yields the degenerate radius-0 sphere.
-
-    Raises ValueError on affinely dependent input; callers holding redundant
-    point sets should reduce first (see minimal_sphere).
-    """
-    pts = as_points(points)
-    m, d = pts.shape
-    if m == 0:
-        raise ValueError("need at least one point")
-    if m > d + 1:
-        raise ValueError("more points than an affinely independent set allows")
-    if m == 1:
-        flat = AffineFlat(base=pts[0], basis=np.zeros((0, d)))
-        return Sphere(center=pts[0], radius=0.0, flat=flat)
-    diffs = pts[1:] - pts[0]
-    _, sv, vt = np.linalg.svd(diffs, full_matrices=False)
-    if sv[0] <= 0.0 or np.sum(sv > TOL_RANK * sv[0]) != m - 1:
-        raise ValueError("points are affinely dependent; reduce first")
-    basis = vt[: m - 1]
-    y = diffs @ basis.T
-    c = np.linalg.solve(2.0 * y, np.sum(y * y, axis=1))
-    center = pts[0] + basis.T @ c
-    radius = float(np.linalg.norm(c))
-    flat = AffineFlat(base=center, basis=basis)
-    return Sphere(center=center, radius=radius, flat=flat)
+    basis: np.ndarray
 
 
 def minimal_sphere(points, tol: float = 1e-7) -> Sphere:
@@ -197,29 +91,41 @@ def minimal_sphere(points, tol: float = 1e-7) -> Sphere:
 
     An affinely independent set is its own spanning subset. Otherwise one is
     extracted greedily (first point first, then every point that raises the
-    rank). The sphere is the circumsphere of that subset, and every point
-    must sit on it within tol, off its flat and off its radius alike.
-    Intended for subsets of a sampled sphere; raises ValueError if the points
-    are not concyclic.
+    rank). The sphere is the circumsphere of that subset, inside its affine
+    hull: in hull coordinates y_i the center solves
+    2 (y_i - y_0) . c = |y_i - y_0|^2. Every point must sit on it within tol,
+    off its flat and off its radius alike. Intended for subsets of a sampled
+    sphere; raises ValueError if the points are not concyclic.
     """
     pts = as_points(points)
     n, d = pts.shape
+    if n == 0:
+        raise ValueError("need at least one point")
     if n <= d + 1 and affine_rank(pts) == n - 1:
         chosen = list(range(n))
     else:
         chosen = [0]
         for i in range(1, n):
-            trial = pts[chosen + [i]]
-            if affine_rank(trial) == len(chosen):
+            if affine_rank(pts[chosen + [i]]) == len(chosen):
                 chosen.append(i)
-    sphere = circumsphere(pts[chosen])
-    basis = sphere.flat.basis
-    rel = pts - sphere.flat.base
+    if len(chosen) == 1:
+        center, radius, basis = pts[0].copy(), 0.0, np.zeros((0, d))
+    else:
+        diffs = pts[chosen[1:]] - pts[chosen[0]]
+        _, sv, vt = np.linalg.svd(diffs, full_matrices=False)
+        if sv[0] <= 0.0 or np.sum(sv > TOL_RANK * sv[0]) != len(diffs):
+            raise ValueError("spanning subset is affinely dependent")
+        basis = vt[: len(diffs)]
+        y = diffs @ basis.T
+        c = np.linalg.solve(2.0 * y, np.sum(y * y, axis=1))
+        center = pts[chosen[0]] + basis.T @ c
+        radius = float(np.linalg.norm(c))
+    rel = pts - center
     off_flat = np.linalg.norm(rel - (rel @ basis.T) @ basis, axis=1)
-    off_radius = np.abs(np.linalg.norm(pts - sphere.center, axis=1) - sphere.radius)
+    off_radius = np.abs(np.linalg.norm(rel, axis=1) - radius)
     if not (np.all(off_flat <= tol) and np.all(off_radius <= tol)):
         raise ValueError("points do not lie on a common sphere")
-    return sphere
+    return Sphere(center, radius, basis)
 
 
 def complementary_sphere(s: Sphere, ambient_dim: int) -> Sphere:
@@ -230,27 +136,24 @@ def complementary_sphere(s: Sphere, ambient_dim: int) -> Sphere:
     the sphere with the same center, radius sqrt(1 - r^2), spanning that
     complement: dimension ambient_dim - dim(s) - 2.
     """
-    if s.ambient_dim != ambient_dim:
+    if len(s.center) != ambient_dim:
         raise ValueError("sphere does not live in the requested ambient space")
     if s.radius >= 1.0:
         raise ValueError("complementary sphere requires radius < 1")
-    comp = orthonormal_complement(s.flat.basis, ambient_dim)
-    radius = math.sqrt(1.0 - s.radius**2)
-    flat = AffineFlat(base=s.center, basis=comp)
-    return Sphere(center=s.center, radius=radius, flat=flat)
+    k = len(s.basis)
+    comp = np.linalg.svd(s.basis, full_matrices=True)[2][k:] if k else np.eye(ambient_dim)
+    return Sphere(s.center, math.sqrt(1.0 - s.radius**2), comp)
 
 
 def sphere_point(s: Sphere, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random point on a sphere (center point if dim is -1)."""
-    k = s.flat.dim
+    """Uniform random point on a sphere (its center if it is one point)."""
+    k = len(s.basis)
     if k == 0:
         return s.center.copy()
     g = rng.normal(size=k)
-    norm = np.linalg.norm(g)
-    while norm < 1e-12:
+    while np.linalg.norm(g) < 1e-12:
         g = rng.normal(size=k)
-        norm = np.linalg.norm(g)
-    return s.center + s.radius * (s.flat.basis.T @ (g / norm))
+    return s.center + s.radius * (s.basis.T @ (g / np.linalg.norm(g)))
 
 
 def pairwise_distances(points) -> np.ndarray:

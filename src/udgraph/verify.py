@@ -16,10 +16,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import TOL_GEOM, as_points, pairwise_distances
+from .geometry import as_points, pairwise_distances
 from .graphs import Graph
 
 MODES = ("faithful", "distance")
+TOL_GEOM = 1e-9  # default tolerance of verify and induced_udg
 TOL_VERIFY = 1e-7  # the tolerance `udgraph verify` publishes as its default
 
 

@@ -152,6 +152,9 @@ def test_census_rejects_out_of_range():
         count_faithful(7, 1)
     with pytest.raises(ValueError):
         count_faithful(3, 0)
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            count_faithful(3, 1, jobs=jobs)
 
 
 def test_census_parallel_jobs_agree():

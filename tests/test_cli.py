@@ -1,8 +1,14 @@
 """End-to-end CLI behaviour: piping, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udgraph.cli import main
 
@@ -170,6 +176,11 @@ def _with_points(dim, points):
         pytest.param(["verify"], _with_points(1, [[0.0], [float("nan")]]), id="nan-points"),
         pytest.param(["verify"], _with_points(2, [[0.0, 0.0], [1.0]]), id="ragged-points"),
         pytest.param(["verify"], _with_points(3, [[0.0, 0.0], [1.0, 0.0]]), id="dim-mismatch"),
+        pytest.param(["verify"], _with_points(2, [[0, 0], [True, 0]]), id="boolean-coordinate"),
+        pytest.param(["verify"], _with_points(1, [[0], [10**400]]), id="huge-integer-coordinate"),
+        pytest.param(["verify"], {"graph": {"n": 1, "edges": []},
+                                  "embedding": {"dim": 0, "points": []}}, id="no-points"),
+        pytest.param(["verify"], {"embedding": {"dim": 1, "points": [[0.0]]}}, id="no-graph"),
         pytest.param(["audit", "--dim", "2"], _TRIANGLE, id="audit-not-bipartite"),
         pytest.param(["realize", "--method", "bipartite", "--dim", "2"], _TRIANGLE,
                      id="realize-not-bipartite"),
@@ -185,6 +196,9 @@ def _with_points(dim, points):
         pytest.param(["bound", "zero-pattern", "--n", "3", "--dim", "-1"], None,
                      id="bound-negative-dim"),
         pytest.param(["ramsey", "lower", "--s", "3", "--dim", "0"], None, id="ramsey-dim-0"),
+        pytest.param(["census", "--n", "3", "--dim", "1", "--jobs", "0"], None, id="census-jobs-0"),
+        pytest.param(["census", "--n", "3", "--dim", "1", "--jobs", "-1"], None,
+                     id="census-jobs-negative"),
     ],
 )
 def test_malformed_document_exits_2(capsys, monkeypatch, argv, doc):
@@ -202,6 +216,24 @@ def test_malformed_udg_jobs_exits_2(capsys, monkeypatch):
     assert err.startswith("udgraph: error:") and "UDG_JOBS" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_census_jobs_below_1_from_the_environment_exits_2(capsys, monkeypatch, jobs):
+    monkeypatch.setenv("UDG_JOBS", jobs)
+    code, out, err = _run(capsys, monkeypatch, ["census", "--n", "3", "--dim", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("udgraph: error:") and "jobs" in err
+
+
+def test_empty_graph_realize_pipes_into_verify(capsys, monkeypatch):
+    code, combined, _ = _run(capsys, monkeypatch, ["realize", "--method", "colorable"],
+                             stdin_text='{"n": 0, "edges": []}')
+    assert code == 0
+    assert json.loads(combined)["embedding"] == {"dim": 0, "points": []}
+    code, out, _ = _run(capsys, monkeypatch, ["verify"], stdin_text=combined)
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 def test_plot_zero_dimensional_embedding(capsys, monkeypatch, tmp_path):
     # a 0-d embedding is drawn at the origin
     svg = tmp_path / "point.svg"
@@ -209,6 +241,14 @@ def test_plot_zero_dimensional_embedding(capsys, monkeypatch, tmp_path):
     code, _, err = _run(capsys, monkeypatch, ["plot", "-o", str(svg)], stdin_text=doc)
     assert code == 0 and err == ""
     assert svg.read_text().count("<circle") == 1
+
+
+def test_plot_empty_embedding(capsys, monkeypatch, tmp_path):
+    svg = tmp_path / "empty.svg"
+    doc = json.dumps({"dim": 2, "points": []})
+    code, _, err = _run(capsys, monkeypatch, ["plot", "-o", str(svg)], stdin_text=doc)
+    assert code == 0 and err == ""
+    assert svg.read_text().startswith("<svg") and "<circle" not in svg.read_text()
 
 
 def test_ramsey_commands(capsys, monkeypatch):
@@ -264,3 +304,68 @@ def test_unknown_usage_exits_2(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["realize", "--method", "bogus"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzz: generated graph, embedding and combined documents through main()
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 5), st.text(max_size=2),
+                     st.floats(allow_nan=True, allow_infinity=True))
+_COORDS = st.one_of(st.floats(-1.5, 1.5), st.integers(-1, 1),
+                    st.sampled_from([float("nan"), float("inf"), True, None, "1", 10**400]))
+_GRAPH_DOCS = st.fixed_dictionaries(
+    {"n": st.one_of(st.integers(-1, 4), _SCALARS),
+     "edges": st.one_of(st.lists(st.lists(st.integers(-1, 4), max_size=3), max_size=5), _SCALARS)},
+    optional={"bipartition_a": st.one_of(st.lists(st.integers(-1, 4), max_size=3), _SCALARS)},
+)
+_EMBEDDING_DOCS = st.fixed_dictionaries(
+    {"dim": st.one_of(st.integers(-1, 3), _SCALARS),
+     "points": st.one_of(st.lists(st.lists(_COORDS, max_size=3), max_size=4), _SCALARS)},
+)
+_DOCS = st.one_of(
+    _GRAPH_DOCS,
+    _EMBEDDING_DOCS,
+    st.fixed_dictionaries({}, optional={"graph": _GRAPH_DOCS, "embedding": _EMBEDDING_DOCS}),
+    _SCALARS,
+    st.lists(_SCALARS, max_size=3),
+)
+# json.dumps writes NaN and Infinity literals, which json.loads reads back
+_TEXTS = st.one_of(_DOCS.map(json.dumps), st.text(max_size=8))
+
+
+def _int_args(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+_ARGVS = st.one_of(
+    st.sampled_from([["verify"], ["verify", "--mode", "distance"], ["plot", "-o", os.devnull],
+                     ["realize", "--method", "colorable"]]),
+    st.tuples(st.just("audit"), st.just("--dim"), _int_args(-2, 3)),
+    st.tuples(st.just("realize"), st.just("--method"), st.sampled_from(["colorable", "bipartite"]),
+              st.just("--dim"), _int_args(-2, 3)),
+    # a numeric search can run its whole restart budget; keep it to rejected dimensions
+    st.tuples(st.just("realize"), st.just("--method"), st.just("numeric"),
+              st.just("--dim"), _int_args(-2, 0)),
+    st.tuples(st.just("census"), st.just("--n"), _int_args(-1, 3), st.just("--dim"),
+              _int_args(-1, 2), st.just("--jobs"), _int_args(-1, 1)),
+    st.tuples(st.just("bound"), st.just("zero-pattern"), st.just("--n"), _int_args(-2, 6),
+              st.just("--dim"), _int_args(-2, 3)),
+    st.tuples(st.just("ramsey"), st.just("lower"), st.just("--s"), _int_args(-1, 6),
+              st.just("--dim"), _int_args(-2, 3)),
+    st.tuples(st.just("gen"), st.sampled_from(["kprime", "kdoubleprime", "remark", "complete",
+                                               "multipartite"]),
+              st.lists(_int_args(-2, 5), max_size=2)).map(lambda t: [*t[:2], *t[2]]),
+).map(list)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_ARGVS, text=_TEXTS)
+def test_fuzzed_documents_exit_0_1_or_2_without_a_traceback(argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("udgraph: error:")

@@ -1,5 +1,6 @@
 """Constructive embeddings: orthogonal circles, bipartite placement, H-systems."""
 
+import json
 from itertools import combinations
 
 import numpy as np
@@ -28,7 +29,7 @@ from udgraph.embed import (
 )
 from udgraph.geometry import (
     affine_rank,
-    circumsphere,
+    minimal_sphere,
 )
 from udgraph.graphs import (
     Graph,
@@ -96,6 +97,24 @@ def test_embedding_validation_and_json():
     back = embedding_from_json(text)
     assert back.to_json() == text
     np.testing.assert_array_equal(back.points, emb.points)
+
+
+@pytest.mark.parametrize("dim", [0, 2])
+def test_empty_embedding_round_trips(dim):
+    emb = Embedding(dim=dim, points=np.zeros((0, dim)))
+    back = embedding_from_json(emb.to_json())
+    assert (back.dim, back.points.shape) == (dim, (0, dim))
+    assert back.to_json() == emb.to_json()
+
+
+@pytest.mark.parametrize("points", [
+    [[0, 0], [True, 0]],
+    [[0, 0], ["1", 0]],
+    [[0, 0], [None, 0]],
+])
+def test_embedding_from_json_rejects_non_numeric_coordinates(points):
+    with pytest.raises(ValueError, match="numbers"):
+        embedding_from_json(json.dumps({"dim": 2, "points": points}))
 
 
 def test_hsystem_sorting_and_s():
@@ -319,7 +338,7 @@ def _b_cluster_ok_reference(pts, d):
                 return False
     if m >= d + 1:
         for sub in combinations(range(m), d + 1):
-            if abs(circumsphere(pts[list(sub)]).radius - 1.0) < 1e-3:
+            if abs(minimal_sphere(pts[list(sub)]).radius - 1.0) < 1e-3:
                 return False
     return True
 

@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 
 from udgraph.geometry import (
     TOL_RANK,
-    AffineFlat,
     affine_rank,
     affine_ranks,
     as_points,
     circumradii,
-    circumsphere,
     complementary_sphere,
     minimal_sphere,
     pairwise_distances,
@@ -86,9 +84,9 @@ def test_complementary_sphere_unit_distances():
     # points at distance 1 from both (+-0.5, 0): the two apexes in R^2
     base = minimal_sphere([[-0.5, 0.0], [0.5, 0.0]])
     comp = complementary_sphere(base, 2)
-    assert comp.dim == 0
+    assert len(comp.basis) == 1  # a 0-sphere: the two apexes
     assert comp.radius == pytest.approx(np.sqrt(0.75), abs=1e-12)
-    u = comp.flat.basis[0]
+    u = comp.basis[0]
     for sign in (1.0, -1.0):
         apex = comp.center + sign * comp.radius * u
         for p in ([-0.5, 0.0], [0.5, 0.0]):
@@ -165,7 +163,7 @@ def test_circumradii_matches_circumsphere(seed, k, d, on_unit_sphere):
     assume(all(affine_rank(s) == d for s in stack))  # two equal points on S^0
     radii = circumradii(stack)
     for s, r in zip(stack, radii):
-        expected = circumsphere(s).radius
+        expected = minimal_sphere(s).radius  # the per-set solve on an independent set
         assert abs(r - expected) <= 1e-12 * max(1.0, expected)
         if on_unit_sphere:
             assert abs(r - 1.0) <= 1e-9
@@ -176,11 +174,16 @@ def test_circumradii_rejects_wrong_shape():
         circumradii(np.zeros((2, 3, 3)))
 
 
-def test_affine_flat_rejects_nearly_orthonormal_basis():
-    # Gram diagonal 1 + 8e-6: within a 1e-5 relative tolerance, not within 1e-9
-    with pytest.raises(ValueError, match="orthonormal"):
-        AffineFlat(base=np.zeros(3), basis=[[1.0 + 4e-6, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    AffineFlat(base=np.zeros(3), basis=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+def _circumsphere(pts):
+    """Sphere through affinely independent points, inside their hull: one SVD
+    of the differences to the first point, one solve in hull coordinates."""
+    if len(pts) == 1:
+        return pts[0].copy(), 0.0, np.zeros((0, pts.shape[1]))
+    diffs = pts[1:] - pts[0]
+    basis = np.linalg.svd(diffs, full_matrices=False)[2][: len(diffs)]
+    y = diffs @ basis.T
+    c = np.linalg.solve(2.0 * y, np.sum(y * y, axis=1))
+    return pts[0] + basis.T @ c, float(np.linalg.norm(c)), basis
 
 
 def _minimal_sphere_reference(points, tol=1e-7):
@@ -190,10 +193,13 @@ def _minimal_sphere_reference(points, tol=1e-7):
     for i in range(1, pts.shape[0]):
         if _rank_reference(pts[chosen + [i]]) == len(chosen):
             chosen.append(i)
-    sphere = circumsphere(pts[chosen])
-    if not all(sphere.contains(p, tol=tol) for p in pts):
-        raise ValueError("points do not lie on a common sphere")
-    return sphere
+    center, radius, basis = _circumsphere(pts[chosen])
+    for p in pts:
+        r = p - center
+        if not (np.linalg.norm(r - basis.T @ (basis @ r)) <= tol
+                and abs(np.linalg.norm(r) - radius) <= tol):
+            raise ValueError("points do not lie on a common sphere")
+    return center, radius, basis
 
 
 @settings(max_examples=100, deadline=None)
@@ -215,10 +221,11 @@ def test_minimal_sphere_matches_greedy_reference(seed, d, k, n, nudge):
         with pytest.raises(ValueError):
             minimal_sphere(pts)
         return
+    center, radius, basis = expected
     got = minimal_sphere(pts)
-    assert got.radius == expected.radius
-    np.testing.assert_array_equal(got.center, expected.center)
-    np.testing.assert_array_equal(got.flat.basis, expected.flat.basis)
+    assert got.radius == radius
+    np.testing.assert_array_equal(got.center, center)
+    np.testing.assert_array_equal(got.basis, basis)
 
 
 def test_minimal_sphere_rejects_a_point_off_the_flat():
