@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, repeat
 
 from .graphs import Graph
-from .solver import SolverConfig, solve_distance, solve_faithful
+from .solver import MARGIN_NONEDGE, TOL_RESIDUAL, SolverConfig, solve_distance, solve_faithful
 
 _MAX_CENSUS_N = 6
 
@@ -71,28 +71,8 @@ def linear_forest_oracle(g: Graph) -> bool:
     the two unit slots x-1 and x+1, and a cycle would force its rightmost
     vertex's two neighbours onto the same slot.
     """
-    adj = g.adjacency()
-    if any(len(nb) > 2 for nb in adj):
-        return False
-    seen = [False] * g.n
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        verts = 0
-        degsum = 0
-        while stack:
-            u = stack.pop()
-            verts += 1
-            degsum += len(adj[u])
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        if degsum // 2 >= verts:  # component has a cycle
-            return False
-    return True
+    return all(top <= 2 and size < order
+               for order, size, top in _components(g, range(g.n)))
 
 
 def _contains_multipartite(g: Graph, sizes) -> bool:
@@ -127,13 +107,13 @@ def is_krt_obstructed(g: Graph, d: int) -> bool:
     return parts >= 2 and _contains_multipartite(g, (3,) * parts)
 
 
-def _link_components(g: Graph, v: int):
+def _components(g: Graph, verts):
     """(order, edges, max degree) of each component of the subgraph that g
-    induces on the neighbours of v."""
-    link = set(g.neighbors(v))
-    inner = {u: [w for w in g.neighbors(u) if w in link] for u in link}
+    induces on verts, in order of each component's least vertex."""
+    verts = set(verts)
+    inner = {u: [w for w in g.neighbors(u) if w in verts] for u in verts}
     seen = set()
-    for start in sorted(link):
+    for start in sorted(verts):
         if start in seen:
             continue
         seen.add(start)
@@ -171,7 +151,7 @@ def _plane_link(g: Graph, d: int):
     if d != 2:
         return None
     for v in range(g.n):
-        for order, size, top in _link_components(g, v):
+        for order, size, top in _components(g, g.neighbors(v)):
             if top > 2 or (order > 6 if size < order else order != 6):
                 return {"order": order, "edges": size}
     return None
@@ -369,8 +349,8 @@ def _run_census(n: int, d: int, semantics: str, cfg: SolverConfig, jobs: int) ->
         "solver": {
             "restarts": cfg.restarts,
             "max_iters": cfg.max_iters,
-            "tol_residual": cfg.tol_residual,
-            "margin_nonedge": cfg.margin_nonedge,
+            "tol_residual": TOL_RESIDUAL,
+            "margin_nonedge": MARGIN_NONEDGE,
             "seed": cfg.seed,
         },
         "jobs": jobs,

@@ -15,7 +15,7 @@ Three constructions live here:
   small, nearly flat B cluster in general position; place_on_spheres then puts
   every A vertex on the complementary sphere of its neighborhood, rejection
   sampling for a real margin between every non-edge and unit length, and
-  verified_witness is the one gate on the result.
+  verified_witness assembles the result and passes it through verify.accepts.
 """
 
 from __future__ import annotations
@@ -29,14 +29,14 @@ import numpy as np
 
 from .geometry import (
     affine_ranks,
-    as_points,
     circumradii,
     complementary_sphere,
     minimal_sphere,
     sphere_point,
 )
 from .graphs import Graph, bipartition_of, greedy_coloring, neighborhoods_in
-from .verify import TOL_VERIFY, classify_pairs, verify
+# verify is unused here; bench/test_bench.py checks tracing restores embed.verify
+from .verify import accepts, classify_pairs, finite_points, verify  # noqa: F401
 
 MARGIN_NONEDGE = 1e-4  # guaranteed non-edge clearance from unit length
 TOL_DISTINCT = 1e-6  # minimum pairwise separation in a valid embedding
@@ -44,6 +44,7 @@ B_DIAMETER = 0.1  # diameter of the sampled B-side cluster
 
 _SAMPLE_MARGIN = 2.5e-4  # rejection threshold, headroom over MARGIN_NONEDGE
 _WORKING_SEP = 1e-4  # working pairwise separation during placement
+_MAX_RETRIES = 50  # seeded attempts of realize_hsystem and embed_bipartite_faithful
 
 
 class PreconditionError(ValueError):
@@ -64,11 +65,9 @@ class Embedding:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = as_points(self.points)
+        pts = finite_points(self.points)
         if pts.shape[1] != self.dim:
             raise ValueError(f"points are {pts.shape[1]}-dimensional, dim says {self.dim}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
         p = classify_pairs(None, pts)
         if p.dist.size and p.dist.min() <= TOL_DISTINCT:
             k = int(p.dist.argmin())
@@ -292,8 +291,7 @@ def _conditions_hold(points: np.ndarray, conditions, upto: int) -> bool:
     return True
 
 
-def realize_hsystem(h: HSystem, budget: FlatnessBudget | None = None, seed: int = 0,
-                    max_retries: int = 50):
+def realize_hsystem(h: HSystem, budget: FlatnessBudget | None = None, seed: int = 0):
     """Realize the conditions by m distinct points on a unit sphere S^k.
 
     Starts on the circle (k = 1) and walks the conditions in nondecreasing
@@ -310,13 +308,13 @@ def realize_hsystem(h: HSystem, budget: FlatnessBudget | None = None, seed: int 
         budget = FlatnessBudget()
     if h.m == 0:
         return 1, np.zeros((0, 2))
-    for attempt in range(max_retries):
+    for attempt in range(_MAX_RETRIES):
         rng = np.random.default_rng([seed, attempt])
         out = _realize_once(h, budget, rng)
         if out is not None:
             return out
     raise RealizationError(
-        f"H-system realization failed numerically after {max_retries} attempts"
+        f"H-system realization failed numerically after {_MAX_RETRIES} attempts"
     )
 
 
@@ -488,21 +486,18 @@ def place_on_spheres(nbhds: dict, bpts: np.ndarray, dim: int,
 def verified_witness(g: Graph, dim: int, ground, bpts: np.ndarray,
                      placed: dict) -> Embedding | None:
     """g's embedding in R^dim with the ground vertices at the rows of bpts and
-    the placed ones at theirs, zero-padded; None unless it verifies faithfully
-    at TOL_VERIFY with every non-edge MARGIN_NONEDGE clear of unit length."""
+    the placed ones at theirs, zero-padded; None unless verify.accepts it with
+    points more than TOL_DISTINCT apart and every non-edge MARGIN_NONEDGE
+    clear of unit length. Both exceed TOL_VERIFY, so an accepted embedding
+    verifies faithfully at TOL_VERIFY."""
     points = np.zeros((g.n, dim))
     k = bpts.shape[1]
     points[np.asarray(ground, dtype=int), :k] = bpts
     for v, y in placed.items():
         points[v, :k] = y
-    try:
-        emb = Embedding(dim=dim, points=points)
-    except ValueError:
+    if not accepts(g, points, TOL_DISTINCT, MARGIN_NONEDGE):
         return None
-    if not verify(g, emb, mode="faithful", tol=TOL_VERIFY).passed:
-        return None
-    p = classify_pairs(g, emb.points)
-    return emb if p.dev[~p.edge].min(initial=math.inf) >= MARGIN_NONEDGE else None
+    return Embedding(dim=dim, points=points)
 
 
 def check_bipartite_preconditions(g: Graph, d: int):
@@ -549,23 +544,21 @@ def check_bipartite_preconditions(g: Graph, d: int):
     )
 
 
-def embed_bipartite_faithful(g: Graph, d: int, seed: int = 0,
-                             max_retries: int = 50) -> Embedding:
+def embed_bipartite_faithful(g: Graph, d: int, seed: int = 0) -> Embedding:
     """Faithful realization in R^d of a bipartite graph with A-degrees <= d.
 
     The B side becomes a flat cluster of diameter B_DIAMETER passing the
     general-position checks of _b_cluster_ok. place_on_spheres then puts each
     A vertex on the complementary sphere of its neighborhood's minimal sphere,
     so neighbor distances are exactly 1; degree-d vertices get its two poles.
-    The result is verified faithfully at TOL_VERIFY, with every non-edge
-    MARGIN_NONEDGE clear of unit length, before being returned.
+    The result passes verified_witness before being returned.
     """
     if d < 2:
         raise PreconditionError("d must be at least 2")
     side_a, side_b = check_bipartite_preconditions(g, d)
     nbhds = neighborhoods_in(g, side_a, side_b)
 
-    for attempt in range(max_retries):
+    for attempt in range(_MAX_RETRIES):
         rng = np.random.default_rng([seed, attempt])
         bpts = _sample_b_cluster(len(side_b), d, rng)
         if not _b_cluster_ok(bpts, d):
@@ -577,5 +570,5 @@ def embed_bipartite_faithful(g: Graph, d: int, seed: int = 0,
         if emb is not None:
             return emb
     raise RealizationError(
-        f"faithful embedding failed after {max_retries} attempts (seed {seed})"
+        f"faithful embedding failed after {_MAX_RETRIES} attempts (seed {seed})"
     )

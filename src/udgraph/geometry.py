@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 TOL_RANK = 1e-8
+TOL_SPHERE = 1e-7  # how far off its minimal sphere a point may sit
 
 
 def as_points(points) -> np.ndarray:
@@ -32,11 +33,11 @@ def as_points(points) -> np.ndarray:
     return pts
 
 
-def affine_ranks(stack, tol: float = TOL_RANK) -> np.ndarray:
+def affine_ranks(stack) -> np.ndarray:
     """Affine rank of every (t, d) point set in a (K, t, d) stack.
 
     Each rank is the matrix rank of the centered set; singular values at or
-    below tol * s_max count as zero, and an all-zero set has rank 0. Empty
+    below TOL_RANK * s_max count as zero, and an all-zero set has rank 0. Empty
     sets (t = 0) get the conventional -1. One batched SVD serves the stack.
     """
     stack = np.asarray(stack, dtype=float)
@@ -50,13 +51,13 @@ def affine_ranks(stack, tol: float = TOL_RANK) -> np.ndarray:
     centered = stack - stack.mean(axis=1, keepdims=True)
     sv = np.linalg.svd(centered, compute_uv=False)
     top = sv[:, :1]
-    return np.where(top[:, 0] > 0.0, np.sum(sv > tol * top, axis=1), 0)
+    return np.where(top[:, 0] > 0.0, np.sum(sv > TOL_RANK * top, axis=1), 0)
 
 
-def affine_rank(points, tol: float = TOL_RANK) -> int:
+def affine_rank(points) -> int:
     """Dimension of the affine hull: 0 for a point, 1 for a segment, and so
     on; -1 for the empty set. The one-set case of affine_ranks."""
-    return int(affine_ranks(as_points(points)[None], tol)[0])
+    return int(affine_ranks(as_points(points)[None])[0])
 
 
 def circumradii(stack) -> np.ndarray:
@@ -86,16 +87,16 @@ class Sphere(NamedTuple):
     basis: np.ndarray
 
 
-def minimal_sphere(points, tol: float = 1e-7) -> Sphere:
+def minimal_sphere(points) -> Sphere:
     """Smallest sphere through a point set that lies on a common sphere.
 
     An affinely independent set is its own spanning subset. Otherwise one is
     extracted greedily (first point first, then every point that raises the
     rank). The sphere is the circumsphere of that subset, inside its affine
     hull: in hull coordinates y_i the center solves
-    2 (y_i - y_0) . c = |y_i - y_0|^2. Every point must sit on it within tol,
-    off its flat and off its radius alike. Intended for subsets of a sampled
-    sphere; raises ValueError if the points are not concyclic.
+    2 (y_i - y_0) . c = |y_i - y_0|^2. Every point must sit on it within
+    TOL_SPHERE, off its flat and off its radius alike. Intended for subsets
+    of a sampled sphere; raises ValueError if the points are not concyclic.
     """
     pts = as_points(points)
     n, d = pts.shape
@@ -123,7 +124,7 @@ def minimal_sphere(points, tol: float = 1e-7) -> Sphere:
     rel = pts - center
     off_flat = np.linalg.norm(rel - (rel @ basis.T) @ basis, axis=1)
     off_radius = np.abs(np.linalg.norm(rel, axis=1) - radius)
-    if not (np.all(off_flat <= tol) and np.all(off_radius <= tol)):
+    if not (np.all(off_flat <= TOL_SPHERE) and np.all(off_radius <= TOL_SPHERE)):
         raise ValueError("points do not lie on a common sphere")
     return Sphere(center, radius, basis)
 

@@ -13,6 +13,13 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
+# A document's n sizes the neighbour table before any other check (n = 10**9
+# exhausts memory), and the audit's chain search grows steeply with n (10 s on
+# 80 isolated vertices). The largest graph the package's tests, demos and
+# benchmark build has 46 vertices.
+MAX_DOCUMENT_N = 64
+_MAX_EXACT_N = 16  # largest graph exact_coloring backtracks on
+
 
 def _normalize_edges(n: int, edges) -> tuple:
     """The edge set as (u, v) pairs with u < v, and each vertex's sorted
@@ -108,6 +115,8 @@ def graph_from_dict(d: dict) -> Graph:
     n, edges, bip = d["n"], d["edges"], d.get("bipartition_a")
     if type(n) is not int:
         raise ValueError(f"graph 'n' must be an integer, got {n!r}")
+    if n > MAX_DOCUMENT_N:
+        raise ValueError(f"graph 'n' is capped at {MAX_DOCUMENT_N}, got {n}")
     if not isinstance(edges, (list, tuple)) or not all(_ints(e) and len(e) == 2 for e in edges):
         raise ValueError("graph 'edges' must be a list of integer pairs")
     if bip is not None and not _ints(bip):
@@ -236,10 +245,10 @@ def _try_k_coloring(g: Graph, k: int) -> list | None:
     return [sorted(cls) for cls in classes if cls]
 
 
-def exact_coloring(g: Graph, max_n: int = 16) -> list:
+def exact_coloring(g: Graph) -> list:
     """Optimal proper coloring by backtracking. Exponential; n capped."""
-    if g.n > max_n:
-        raise ValueError(f"exact coloring capped at n={max_n}")
+    if g.n > _MAX_EXACT_N:
+        raise ValueError(f"exact coloring capped at n={_MAX_EXACT_N}")
     if g.n == 0:
         return []
     for k in range(1, g.n + 1):
@@ -249,8 +258,8 @@ def exact_coloring(g: Graph, max_n: int = 16) -> list:
     raise AssertionError("unreachable: n colors always suffice")
 
 
-def exact_chromatic_small(g: Graph, max_n: int = 16) -> int:
-    return len(exact_coloring(g, max_n=max_n))
+def exact_chromatic_small(g: Graph) -> int:
+    return len(exact_coloring(g))
 
 
 def girth(g: Graph):

@@ -1,21 +1,22 @@
 """Batched multistart solver for unit-distance realizations.
 
 The objective is the quartic penalty F(X) = sum over edges of
-(|x_i - x_j|^2 - 1)^2. Restart r starts from init_scale times a normal draw
+(|x_i - x_j|^2 - 1)^2. Restart r starts from INIT_SCALE times a normal draw
 of default_rng([seed, r]), and restarts run in chunks of 1, 2, 4, ... up to
 _CHUNK as one batch of shape (c, n, d). With B the n x m edge-incidence
 matrix, the edge differences of the whole batch are B^T X and the gradient
 scatter is B W. Each restart keeps its own Armijo step, stall test and
 iteration count, so it follows the trajectory it would follow alone.
 
-A restart whose residual falls below _GN_SWITCH (or tol_residual, if that is
-larger) leaves the batch for a Gauss-Newton finish (Nocedal & Wright,
-Numerical Optimization, ch. 10): damped minimum-norm least-squares steps on
-the edge system J delta = -p, falling back to a descent step when such a
-step does not lower F. Every accepted candidate is finished this way, and
-the accept gate then asks for a residual within tol_residual, every edge
-within TOL_VERIFY of unit length (the tolerance `udgraph verify` publishes),
-distinct points and, for faithful solves, non-edges clear of unit length.
+A restart whose residual falls below _GN_SWITCH leaves the batch for a
+Gauss-Newton finish (Nocedal & Wright, Numerical Optimization, ch. 10):
+damped minimum-norm least-squares steps on the edge system J delta = -p,
+falling back to a descent step when such a step does not lower F. Every
+accepted candidate is finished this way. A candidate with a residual within
+TOL_RESIDUAL then meets verify.accepts: points more than MIN_SEPARATION
+apart, every edge within TOL_VERIFY of unit length (the tolerance `udgraph
+verify` publishes) and, for faithful solves, every non-edge MARGIN_NONEDGE
+clear of unit length.
 
 A restart's gate is checked as soon as it finishes. The lowest-index accepted
 restart wins, and the search stops once no restart below it is unfinished, so
@@ -30,7 +31,7 @@ import numpy as np
 
 from .embed import Embedding
 from .graphs import Graph
-from .verify import TOL_VERIFY, classify_pairs
+from .verify import accepts
 
 _ARMIJO_C = 1e-4
 _STALL_STEP = 1e-18
@@ -40,20 +41,21 @@ _GN_SWITCH = 1e-6  # residual below which a restart takes Gauss-Newton steps
 _GN_STEPS = 30  # Gauss-Newton (or fallback descent) steps of one finish
 _GN_HALVINGS = 4  # damped trials of one Gauss-Newton step
 
+TOL_RESIDUAL = 1e-12  # largest F of an accepted candidate
+MARGIN_NONEDGE = 1e-3  # non-edge clearance from unit length, faithful solves
+# accept-gate separation between points. Must sit well above the point drift
+# of a finished candidate, or a pair of vertices forced onto the same spot by
+# the constraints can masquerade as two "distinct" points and fake a
+# realization. After the Gauss-Newton finish such pairs sit at most about
+# 3e-14 apart on the 4- and 5-vertex census graphs.
+MIN_SEPARATION = 1e-3
+INIT_SCALE = 2.0  # standard deviation of a restart's starting coordinates
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     restarts: int = 200
     max_iters: int = 2000
-    tol_residual: float = 1e-12
-    margin_nonedge: float = 1e-3
-    # accept-gate separation between points. Must sit well above the point
-    # drift of a finished candidate, or a pair of vertices forced onto the
-    # same spot by the constraints can masquerade as two "distinct" points
-    # and fake a realization. After the Gauss-Newton finish such pairs sit
-    # at most about 3e-14 apart on the 4- and 5-vertex census graphs.
-    min_separation: float = 1e-3
-    init_scale: float = 2.0
     seed: int = 0
 
 
@@ -140,12 +142,12 @@ def _descent_step(x, diff, p, f, step, bt, b):
     return xn, dn, pn, fn, t, done
 
 
-def _finish(x, diff, p, f, step, bt, b, tol_residual):
+def _finish(x, diff, p, f, step, bt, b):
     """Gauss-Newton finish of one restart, given as a batch of one.
 
     A step solves J delta = -p in the minimum-norm least-squares sense and
     is halved up to _GN_HALVINGS times until F drops. When it never drops,
-    the finish ends if F is within tol_residual and takes a descent step
+    the finish ends if F is within TOL_RESIDUAL and takes a descent step
     otherwise. Returns (point, F).
     """
     m, n = bt.shape
@@ -162,25 +164,13 @@ def _finish(x, diff, p, f, step, bt, b, tol_residual):
                 break
             t *= 0.5
         else:
-            if f[0] <= tol_residual:
+            if f[0] <= TOL_RESIDUAL:
                 break
             xn, dn, pn, fn, step, done = _descent_step(x, diff, p, f, step, bt, b)
             if done[0]:
                 break
         x, diff, p, f = xn, dn, pn, fn
     return x[0], float(f[0])
-
-
-def _gate_passed(g: Graph, points, cfg: SolverConfig, faithful: bool) -> bool:
-    """Points more than min_separation apart, every edge within TOL_VERIFY of
-    unit length and, for faithful solves, every non-edge at least
-    margin_nonedge away from it."""
-    p = classify_pairs(g, points)
-    if p.dist.min(initial=np.inf) <= cfg.min_separation:
-        return False
-    if p.dev[p.edge].max(initial=0.0) > TOL_VERIFY:
-        return False
-    return not (faithful and bool(np.any(p.dev[~p.edge] < cfg.margin_nonedge)))
 
 
 def _run_batch(x, rows, bt, b, cfg: SolverConfig, settle) -> None:
@@ -192,18 +182,17 @@ def _run_batch(x, rows, bt, b, cfg: SolverConfig, settle) -> None:
     those leaving together, and returns the lowest restart index that can
     still win; restarts at or above it are dropped.
     """
-    switch = max(cfg.tol_residual, _GN_SWITCH)
     diff, p, f = _residuals(x, bt)
     step = np.ones(rows.size)
     for it in range(cfg.max_iters + 1):
-        out = f <= switch if it < cfg.max_iters else np.ones(rows.size, dtype=bool)
+        out = f <= _GN_SWITCH if it < cfg.max_iters else np.ones(rows.size, dtype=bool)
         if np.count_nonzero(out):
             bound = np.inf
             for k in np.flatnonzero(out):
                 xk, fk = x[k], float(f[k])
-                if fk <= switch:
+                if fk <= _GN_SWITCH:
                     s = slice(k, k + 1)
-                    xk, fk = _finish(x[s], diff[s], p[s], f[s], step[s], bt, b, cfg.tol_residual)
+                    xk, fk = _finish(x[s], diff[s], p[s], f[s], step[s], bt, b)
                 bound = settle(int(rows[k]), xk, fk)
             keep = ~out & (rows < bound)
             x, diff, p, f, step, rows = (a[keep] for a in (x, diff, p, f, step, rows))
@@ -228,11 +217,12 @@ def _solve(g: Graph, d: int, cfg: SolverConfig, faithful: bool) -> SolveResult:
     bt, b = _incidence(g)
     final = np.full(cfg.restarts, np.inf)  # each finished restart's residual
     winner, found = cfg.restarts, None  # the lowest accepted restart so far
+    margin = MARGIN_NONEDGE if faithful else None
 
     def settle(r, x, f):
         nonlocal winner, found
         final[r] = f
-        if r < winner and f <= cfg.tol_residual and _gate_passed(g, x, cfg, faithful):
+        if r < winner and f <= TOL_RESIDUAL and accepts(g, x, MIN_SEPARATION, margin):
             winner, found = r, (x, f)
         return winner
 
@@ -240,7 +230,7 @@ def _solve(g: Graph, d: int, cfg: SolverConfig, faithful: bool) -> SolveResult:
     while start < min(cfg.restarts, winner):
         rows = np.arange(start, min(start + size, cfg.restarts))
         start, size = start + rows.size, min(2 * size, _CHUNK)
-        x = np.stack([cfg.init_scale * np.random.default_rng([cfg.seed, int(r)]).normal(size=(g.n, d))
+        x = np.stack([INIT_SCALE * np.random.default_rng([cfg.seed, int(r)]).normal(size=(g.n, d))
                       for r in rows])
         _run_batch(x, rows, bt, b, cfg, settle)
     if found is None:
@@ -255,10 +245,10 @@ def _solve(g: Graph, d: int, cfg: SolverConfig, faithful: bool) -> SolveResult:
 def solve_faithful(g: Graph, d: int, cfg: SolverConfig | None = None) -> SolveResult:
     """Search for a faithful realization of g in R^d.
 
-    A restart is accepted only when the residual is below tol_residual, every
-    edge is within TOL_VERIFY of unit length, all points are pairwise
-    distinct, and every non-edge distance differs from 1 by at least
-    margin_nonedge. NOT_FOUND results carry the best residual seen, which is
+    A restart is accepted only when the residual is within TOL_RESIDUAL, every
+    edge is within TOL_VERIFY of unit length, all points are more than
+    MIN_SEPARATION apart, and every non-edge distance differs from 1 by at
+    least MARGIN_NONEDGE. NOT_FOUND results carry the best residual seen, which is
     evidence (not proof) of unrealizability.
     """
     return _solve(g, d, cfg or SolverConfig(), faithful=True)

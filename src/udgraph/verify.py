@@ -4,7 +4,8 @@ The induced unit-distance graph of a point set has an edge wherever the
 distance is within tol of 1. Faithful verification demands that induced graph
 equal the claimed graph; distance verification checks the claimed edges and
 that the points are distinct.
-Every vertex pair in the package is classified by classify_pairs.
+Every vertex pair in the package is classified by classify_pairs, and accepts
+is the one gate on the solver's candidates and the constructions' results.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ def _upper(n: int) -> tuple:
 def classify_pairs(g: Graph | None, points) -> Pairs:
     """Distances, edge mask and unit deviations of every vertex pair.
 
-    The one pair classifier of the package: verification, the solver's accept
-    gate, the constructions' margins and Embedding's distinctness check all
+    The one pair classifier of the package: verification, the accept gate,
+    the constructions' sampling checks and Embedding's distinctness check all
     read their pairs from this table. g None means a graph without edges.
     """
     pts = as_points(points)
@@ -69,16 +70,40 @@ def classify_pairs(g: Graph | None, points) -> Pairs:
     return Pairs(i, j, dist, edge, np.abs(dist - 1.0))
 
 
+def finite_points(points) -> np.ndarray:
+    """points as an (m, d) array; ValueError unless every coordinate is finite."""
+    pts = as_points(points)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
+    return pts
+
+
+def accepts(g: Graph, points, separation: float, margin: float | None) -> bool:
+    """The accept gate on a candidate realization of g.
+
+    True when every pair of points is more than separation apart, every edge
+    is within TOL_VERIFY of unit length and, unless margin is None (distance
+    semantics), every non-edge is at least margin away from unit length. The
+    test is that every pair is good, so a pair with a non-finite coordinate
+    fails it.
+    """
+    p = classify_pairs(g, points)
+    clear = True if margin is None else p.dev >= margin
+    good = (p.dist > separation) & np.where(p.edge, p.dev <= TOL_VERIFY, clear)
+    return bool(np.all(good))
+
+
 def induced_udg(points, tol: float = TOL_GEOM) -> Graph:
     """Graph on the point indices whose edges are the unit-distance pairs.
 
-    Coincident points (pairwise distance <= tol) raise ValueError, as does a
-    tol that is not finite and >= 0. Pairs whose deviation from unit length
-    falls in the ambiguity band (tol, 3*tol] emit a ToleranceCliffWarning.
+    Coincident points (pairwise distance <= tol) and non-finite points raise
+    ValueError, as does a tol that is not finite and >= 0. Pairs whose
+    deviation from unit length falls in the ambiguity band (tol, 3*tol] emit
+    a ToleranceCliffWarning.
     """
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    pts = as_points(points)
+    pts = finite_points(points)
     p = classify_pairs(None, pts)
     coincident = np.flatnonzero(p.dist <= tol)
     # pairs are taken in order, so none after the first coincident one counts
@@ -123,7 +148,7 @@ class Report:
 def verify(g: Graph, embedding, mode: str = "faithful", tol: float = TOL_GEOM) -> Report:
     """Check an embedding of g. Returns a Report; raises on malformed input.
 
-    Both modes place the vertices at distinct points.
+    Both modes place the vertices at distinct, finite points.
     mode "distance": every edge must have length within tol of 1, and no two
     points may lie within tol of each other.
     mode "faithful": additionally no non-edge may have length within tol of 1.
@@ -135,7 +160,7 @@ def verify(g: Graph, embedding, mode: str = "faithful", tol: float = TOL_GEOM) -
         raise ValueError(f"mode must be one of {MODES}")
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    p = classify_pairs(g, getattr(embedding, "points", embedding))
+    p = classify_pairs(g, finite_points(getattr(embedding, "points", embedding)))
     bad = p.edge & (p.dev > tol)
     if mode == "distance":
         bad |= ~p.edge & (p.dist <= tol)

@@ -123,6 +123,15 @@ def test_count_reports_are_well_formed():
     assert "isomorphism_classes" in r.config
 
 
+def test_census_json_pins_the_solver_config():
+    assert json.loads(count_faithful(3, 1).to_json())["config"]["solver"] == {
+        "restarts": 200, "max_iters": 2000, "tol_residual": 1e-12, "margin_nonedge": 1e-3,
+        "seed": 0}
+    cfg = SolverConfig(restarts=7, max_iters=9, seed=3)
+    assert json.loads(count_distance(3, 1, cfg).to_json())["config"]["solver"] == {
+        "restarts": 7, "max_iters": 9, "tol_residual": 1e-12, "margin_nonedge": 1e-3, "seed": 3}
+
+
 @pytest.mark.parametrize("n, d", [(4, 1), (4, 2)])
 def test_census_json_is_one_line_of_the_report_dict(n, d):
     r = count_faithful(n, d, _FAST)

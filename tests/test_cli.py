@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from udgraph.cli import main
+from udgraph.graphs import MAX_DOCUMENT_N
 
 
 def _run(capsys, monkeypatch, argv, stdin_text=None):
@@ -158,6 +159,7 @@ def test_census_beyond_n6_exits_2(capsys, monkeypatch):
 _GRAPH_OK = {"n": 2, "edges": [[0, 1]]}
 _TRIANGLE = {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}
 _LONG_EDGE = {"graph": _GRAPH_OK, "embedding": {"dim": 1, "points": [[0.0], [5.0]]}}
+_HUGE_N = (MAX_DOCUMENT_N + 1, 10**9)
 
 
 def _with_points(dim, points):
@@ -199,6 +201,11 @@ def _with_points(dim, points):
         pytest.param(["census", "--n", "3", "--dim", "1", "--jobs", "0"], None, id="census-jobs-0"),
         pytest.param(["census", "--n", "3", "--dim", "1", "--jobs", "-1"], None,
                      id="census-jobs-negative"),
+        *(pytest.param(argv, {"graph": {"n": n, "edges": []},
+                              "embedding": {"dim": 1, "points": [[0.0]]}}, id=f"{argv[0]}-n-{n}")
+          for argv in (["verify"], ["plot", "-o", os.devnull], ["audit", "--dim", "2"],
+                       ["realize", "--method", "colorable"])
+          for n in _HUGE_N),
     ],
 )
 def test_malformed_document_exits_2(capsys, monkeypatch, argv, doc):
@@ -314,7 +321,7 @@ _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 5), st.text(max_s
 _COORDS = st.one_of(st.floats(-1.5, 1.5), st.integers(-1, 1),
                     st.sampled_from([float("nan"), float("inf"), True, None, "1", 10**400]))
 _GRAPH_DOCS = st.fixed_dictionaries(
-    {"n": st.one_of(st.integers(-1, 4), _SCALARS),
+    {"n": st.one_of(st.integers(-1, 4), st.sampled_from(_HUGE_N), _SCALARS),
      "edges": st.one_of(st.lists(st.lists(st.integers(-1, 4), max_size=3), max_size=5), _SCALARS)},
     optional={"bipartition_a": st.one_of(st.lists(st.integers(-1, 4), max_size=3), _SCALARS)},
 )

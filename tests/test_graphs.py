@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from udgraph.graphs import (
+    MAX_DOCUMENT_N,
     Graph,
     bipartition_of,
     exact_chromatic_small,
@@ -108,6 +109,12 @@ def test_graph_validation():
         Graph(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph(-1, [])
+
+
+def test_graph_document_vertex_cap():
+    assert graph_from_json(json.dumps({"n": MAX_DOCUMENT_N, "edges": []})).n == MAX_DOCUMENT_N
+    with pytest.raises(ValueError, match="capped"):
+        graph_from_json(json.dumps({"n": MAX_DOCUMENT_N + 1, "edges": []}))
 
 
 @st.composite

@@ -12,7 +12,7 @@ from udgraph.solver import (
     solve_distance,
     solve_faithful,
 )
-from udgraph.verify import verify
+from udgraph.verify import accepts, verify
 
 
 def test_objective_zero_on_exact_embedding():
@@ -145,7 +145,7 @@ def test_batched_restarts_follow_their_serial_trajectories():
     g = make_complete(4)
     cfg = SolverConfig(seed=0, max_iters=200)
     rows = np.arange(32)
-    x0 = np.stack([cfg.init_scale * np.random.default_rng([cfg.seed, int(r)]).normal(size=(4, 2))
+    x0 = np.stack([solver.INIT_SCALE * np.random.default_rng([cfg.seed, int(r)]).normal(size=(4, 2))
                    for r in rows])
     final = {}
 
@@ -180,12 +180,22 @@ def test_result_does_not_depend_on_chunk_size(monkeypatch, g, d, seeds):
     assert [run(seed) for seed in seeds] == batched
 
 
-def test_gate_holds_edges_to_the_verify_tolerance():
-    g = Graph(2, [(0, 1)])
-    cfg = SolverConfig()
-    # F = (2 * 5e-7)^2 = 1e-12 passes tol_residual but not `udgraph verify`
-    assert not solver._gate_passed(g, np.array([[0.0], [1.0 + 5e-7]]), cfg, faithful=True)
-    assert solver._gate_passed(g, np.array([[0.0], [1.0 + 5e-8]]), cfg, faithful=True)
+_EDGE = Graph(2, [(0, 1)])
+_NON_EDGE = Graph(2, [])
+
+
+@pytest.mark.parametrize("margin", [None, solver.MARGIN_NONEDGE], ids=["distance", "faithful"])
+@pytest.mark.parametrize("g, points, verdicts", [
+    pytest.param(_NON_EDGE, [[0.0], [0.0]], (False, False), id="coincident"),
+    # F = (2 * 5e-7)^2 = 1e-12 passes TOL_RESIDUAL but not `udgraph verify`
+    pytest.param(_EDGE, [[0.0], [1.0 + 5e-7]], (False, False), id="edge-5e-7-off"),
+    pytest.param(_EDGE, [[0.0], [1.0 + 5e-8]], (True, True), id="edge-5e-8-off"),
+    pytest.param(_NON_EDGE, [[0.0], [1.0 + 5e-4]], (True, False), id="nonedge-inside-margin"),
+    pytest.param(_EDGE, [[0.0], [np.nan]], (False, False), id="nan-coordinate"),
+])
+def test_gate_holds_edges_to_the_verify_tolerance(margin, g, points, verdicts):
+    expected = verdicts[margin is not None]
+    assert accepts(g, np.array(points), solver.MIN_SEPARATION, margin) is expected
 
 
 @pytest.mark.parametrize("n, d", [(4, 2), (5, 3)])

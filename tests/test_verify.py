@@ -92,6 +92,17 @@ def test_verify_and_induced_udg_reject_a_tolerance_not_finite_and_nonnegative(to
         induced_udg(pts, tol=tol)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_verify_and_induced_udg_reject_non_finite_points(bad):
+    # a NaN coordinate compares false against every tolerance
+    g = Graph(2, [(0, 1)])
+    for mode in ("faithful", "distance"):
+        with pytest.raises(ValueError, match="points must be finite"):
+            verify(g, np.array([[0.0, 0.0], [bad, 0.0]]), mode=mode)
+    with pytest.raises(ValueError, match="points must be finite"):
+        induced_udg([[0.0], [bad], [1.0]])
+
+
 def test_verify_accepts_a_zero_tolerance():
     assert verify(Graph(2, [(0, 1)]), np.array([[0.0], [1.0]]), tol=0.0).passed
 
