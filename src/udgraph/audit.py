@@ -145,7 +145,7 @@ def _chain_search(h: HSystem, node_cap: int) -> tuple:
     if m <= 3:
         return list(range(m)), False
     conds = [frozenset(c) for c in h.conditions]
-    best: list = []
+    best: list = [0, 1, 2]
     seen: set = set()
     nodes = 0
 
@@ -167,11 +167,23 @@ def _chain_search(h: HSystem, node_cap: int) -> tuple:
             nodes += 1
             extend(grown, order + [j])
 
-    for start in combinations(range(m), 3):
+    # a start triple that no condition contains never extends, so past the
+    # first triple, which seeds best, only the contained ones are tried
+    for start in _contained_triples(m, conds):
         if nodes > node_cap or len(best) == m:
             break
         extend(frozenset(start), list(start))
     return best, nodes > node_cap and len(best) < m
+
+
+def _contained_triples(m: int, conds: list):
+    """The triples of range(m) that some condition contains, in
+    lexicographic order."""
+    for a in range(m):
+        with_a = [c for c in conds if a in c]
+        for b in range(a + 1, m):
+            third = set().union(*(c for c in with_a if b in c))
+            yield from ((a, b, x) for x in sorted(third) if x > b)
 
 
 def k_lower_bound(h: HSystem) -> int:

@@ -16,6 +16,7 @@ or a numeric search that came up empty, and 2 means a usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -34,6 +35,7 @@ from .embed import (
     embedding_from_json,
 )
 from .graphs import (
+    MAX_DOCUMENT_N,
     Graph,
     graph_from_dict,
     graph_to_json,
@@ -92,27 +94,33 @@ def _combined_doc(g: Graph, emb: Embedding) -> str:
     return '{"graph": ' + graph_to_json(g) + ', "embedding": ' + emb.to_json() + "}"
 
 
+# family: (builder of its one integer parameter, vertex count of the parameter)
+_ONE_PARAM_FAMILIES = {
+    "kprime": (make_kprime, lambda d: 2 * d),
+    "kdoubleprime": (make_kdoubleprime, lambda d: 2 * d),
+    "remark": (make_remark_graph, lambda d: 2 * (d + 2)),
+    "complete": (make_complete, lambda n: n),
+}
+
+
 def _cmd_gen(args) -> int:
-    if args.family == "kprime":
-        g = make_kprime(_one_param(args))
-    elif args.family == "kdoubleprime":
-        g = make_kdoubleprime(_one_param(args))
-    elif args.family == "remark":
-        g = make_remark_graph(_one_param(args))
-    elif args.family == "complete":
-        g = make_complete(_one_param(args))
-    else:  # multipartite
+    if args.family == "multipartite":
         if not args.params:
             raise ValueError("multipartite needs part sizes, e.g. gen multipartite 3 3")
-        g = make_complete_multipartite(args.params)
-    _write_text(args.output, graph_to_json(g))
+        build, param, n = make_complete_multipartite, args.params, sum(args.params)
+    else:
+        if len(args.params) != 1:
+            raise ValueError(f"family {args.family!r} takes exactly one integer parameter")
+        build, count = _ONE_PARAM_FAMILIES[args.family]
+        param = args.params[0]
+        n = count(param)
+    # checked before building: every reader rejects a larger document
+    if n > MAX_DOCUMENT_N:
+        raise ValueError(
+            f"family {args.family!r} would have {n} vertices; graphs are capped at {MAX_DOCUMENT_N}"
+        )
+    _write_text(args.output, graph_to_json(build(param)))
     return 0
-
-
-def _one_param(args) -> int:
-    if len(args.params) != 1:
-        raise ValueError(f"family {args.family!r} takes exactly one integer parameter")
-    return args.params[0]
 
 
 def _cmd_realize(args) -> int:
@@ -256,13 +264,10 @@ def _cmd_plot(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser; a malformed UDG_JOBS raises ValueError."""
-    jobs_env = os.environ.get("UDG_JOBS", "1")
-    try:
-        default_jobs = int(jobs_env)
-    except ValueError:
-        raise ValueError(f"UDG_JOBS must be an integer, got {jobs_env!r}") from None
+    """The argument parser, built on first use and shared by every later
+    call in the process; nothing changes it after it is built."""
     top = argparse.ArgumentParser(prog="udgraph", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -298,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--semantics", choices=["faithful", "distance"], default="faithful")
     p.add_argument("--exact-only", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=default_jobs)
+    p.add_argument("--jobs", type=int, default=None)  # None: UDG_JOBS
     p.add_argument("--csv", default=None, help="also dump per-graph rows to this CSV file")
     p.set_defaults(func=_cmd_census)
 
@@ -324,9 +329,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _env_jobs() -> int:
+    """census --jobs when the option is absent: UDG_JOBS, or 1 when unset."""
+    jobs_env = os.environ.get("UDG_JOBS", "1")
+    try:
+        return int(jobs_env)
+    except ValueError:
+        raise ValueError(f"UDG_JOBS must be an integer, got {jobs_env!r}") from None
+
+
 def main(argv=None) -> int:
     try:
+        # read on every call, before parsing, so a malformed value exits 2 under any usage
+        env_jobs = _env_jobs()
         args = _build_parser().parse_args(argv)
+        if args.command == "census" and args.jobs is None:
+            args.jobs = env_jobs
         return args.func(args)
     except (PreconditionError, RealizationError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"udgraph: error: {exc}", file=sys.stderr)

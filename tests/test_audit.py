@@ -1,6 +1,7 @@
 """Dimension audits: bound rules, H-system extraction, verdicts, certificates."""
 
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -125,6 +126,53 @@ def test_chain_search_reports_truncation(monkeypatch):
     assert k == 5
     assert rules[-1] == {"rule": "R2_chain", "params": {
         "side": "A", "chain": list(range(7)), "length": 7, "truncated": True}}
+
+
+def _chain_search_every_start(h, node_cap):
+    """The chain search with every triple of range(m) as a start, as it was
+    before starts outside every condition were skipped."""
+    m = h.m
+    if m <= 3:
+        return list(range(m)), False
+    conds = [frozenset(c) for c in h.conditions]
+    best, seen, nodes = [], set(), 0
+
+    def extend(chain_set, order):
+        nonlocal best, nodes
+        if len(order) > len(best):
+            best = list(order)
+        if len(order) == m or nodes > node_cap:
+            return
+        for j in range(m):
+            if j in chain_set or not any(chain_set <= c and j not in c for c in conds):
+                continue
+            grown = chain_set | {j}
+            if grown in seen:
+                continue
+            seen.add(grown)
+            nodes += 1
+            extend(grown, order + [j])
+
+    for start in combinations(range(m), 3):
+        if nodes > node_cap or len(best) == m:
+            break
+        extend(frozenset(start), list(start))
+    return best, nodes > node_cap and len(best) < m
+
+
+def test_chain_search_matches_the_search_over_every_start_triple():
+    rng = np.random.default_rng(2024)
+    systems = [hsystem_of(g, side) for g in (make_kprime(6), make_kdoubleprime(5),
+                                             make_remark_graph(3), make_complete_multipartite([3, 4]))
+               for side in ("A", "B")]
+    for _ in range(300):
+        m = int(rng.integers(4, 10))
+        conds = [rng.choice(m, size=int(rng.integers(0, m)), replace=False).tolist()
+                 for _ in range(int(rng.integers(0, 7)))]
+        systems.append(HSystem(m, tuple(conds)))
+    for h in systems:
+        for cap in (2, 5, 30, audit._CHAIN_NODE_CAP):
+            assert audit._chain_search(h, cap) == _chain_search_every_start(h, cap), (h, cap)
 
 
 def test_audit_k33():

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udgraph.cli import main
-from udgraph.graphs import MAX_DOCUMENT_N
+from udgraph.cli import _build_parser, main
+from udgraph.graphs import MAX_DOCUMENT_N, graph_from_dict
 
 
 def _run(capsys, monkeypatch, argv, stdin_text=None):
@@ -201,6 +201,9 @@ def _with_points(dim, points):
         pytest.param(["census", "--n", "3", "--dim", "1", "--jobs", "0"], None, id="census-jobs-0"),
         pytest.param(["census", "--n", "3", "--dim", "1", "--jobs", "-1"], None,
                      id="census-jobs-negative"),
+        *(pytest.param(["gen", *params], None, id="gen-" + "-".join(params))
+          for params in (["complete", "65"], ["complete", "100000"], ["multipartite", "40", "25"],
+                         ["kprime", "33"], ["kdoubleprime", "33"], ["remark", "31"])),
         *(pytest.param(argv, {"graph": {"n": n, "edges": []},
                               "embedding": {"dim": 1, "points": [[0.0]]}}, id=f"{argv[0]}-n-{n}")
           for argv in (["verify"], ["plot", "-o", os.devnull], ["audit", "--dim", "2"],
@@ -216,11 +219,60 @@ def test_malformed_document_exits_2(capsys, monkeypatch, argv, doc):
     assert "Traceback" not in err
 
 
-def test_malformed_udg_jobs_exits_2(capsys, monkeypatch):
+@pytest.mark.parametrize("params", [["complete", "64"], ["multipartite", "40", "24"],
+                                    ["kprime", "32"], ["kdoubleprime", "32"], ["remark", "30"]],
+                         ids="-".join)
+def test_gen_families_at_the_vertex_cap_are_readable(capsys, monkeypatch, params):
+    code, out, _ = _run(capsys, monkeypatch, ["gen", *params])
+    assert code == 0
+    assert graph_from_dict(json.loads(out)).n == MAX_DOCUMENT_N
+
+
+_EVERY_SUBCOMMAND = {
+    "gen": ["gen", "complete", "3"],
+    "realize": ["realize", "--method", "colorable"],
+    "verify": ["verify"],
+    "audit": ["audit", "--dim", "2"],
+    "census": ["census", "--n", "3", "--dim", "1"],
+    "bound": ["bound", "zero-pattern", "--n", "4", "--dim", "1"],
+    "ramsey": ["ramsey", "lower", "--s", "3", "--dim", "1"],
+    "plot": ["plot", "-o", os.devnull],
+}
+
+
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND.values(), ids=_EVERY_SUBCOMMAND)
+def test_malformed_udg_jobs_exits_2(capsys, monkeypatch, argv):
     monkeypatch.setenv("UDG_JOBS", "abc")
-    code, _, err = _run(capsys, monkeypatch, ["gen", "complete", "3"])
-    assert code == 2
+    code, out, err = _run(capsys, monkeypatch, argv, stdin_text=json.dumps(_LONG_EDGE))
+    assert code == 2 and out == ""
     assert err.startswith("udgraph: error:") and "UDG_JOBS" in err
+
+
+def test_udg_jobs_is_read_on_every_call(capsys, monkeypatch):
+    argv = ["census", "--n", "3", "--dim", "1"]
+    monkeypatch.setenv("UDG_JOBS", "1")
+    code, out, _ = _run(capsys, monkeypatch, argv)
+    assert code == 0 and json.loads(out)["config"]["jobs"] == 1
+    monkeypatch.setenv("UDG_JOBS", "0")
+    code, out, err = _run(capsys, monkeypatch, argv)
+    assert code == 2 and out == "" and "jobs" in err
+    # an explicit --jobs wins over the environment
+    code, out, _ = _run(capsys, monkeypatch, [*argv, "--jobs", "1"])
+    assert code == 0 and json.loads(out)["config"]["jobs"] == 1
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    _build_parser.cache_clear()
+    _, graph_json, _ = _run(capsys, monkeypatch, ["gen", "complete", "3"])
+    for seed in range(3):
+        _run(capsys, monkeypatch, ["gen", "complete", "3"])
+        code, combined, _ = _run(capsys, monkeypatch, ["realize", "--dim", "2", "--method", "numeric",
+                                                       "--seed", str(seed)], stdin_text=graph_json)
+        assert code == 0
+        code, _, _ = _run(capsys, monkeypatch, ["verify"], stdin_text=combined)
+        assert code == 0
+    info = _build_parser.cache_info()
+    assert info.misses == 1 and info.hits == 9
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
