@@ -13,7 +13,6 @@ sequence alone.
 import numpy as np
 
 from udgraph import (
-    FlatnessBudget,
     affine_rank,
     edge_sum,
     growth_dimension,
@@ -52,8 +51,10 @@ for cond in h.conditions:
     print("condition", sorted(cond), " flat rank", base,
           " outsiders raise it:", raised)
 
-# the rotation schedule keeps the cloud flat: angles halve each step and
-# their total stays under a quarter of the budget
-b = FlatnessBudget(eps=0.01)
-print("angles:", [b.angle(l) for l in range(1, 5)])
-print("total of 30 steps:", b.total(30), "<", b.eps / 4)
+# the rotation schedule keeps the cloud flat: step l rotates by
+# eps * 2^(-l-4), so the angles halve each step and sum to under eps/16; the
+# cloud is sampled in a cap of spread eps/2 and here ends under eps across
+for eps in (0.01, 0.2):
+    _, cloud = realize_hsystem(h, eps=eps, seed=11)
+    diam = max(np.linalg.norm(p - q) for p in cloud for q in cloud)
+    print("eps = %g: cloud diameter %.4f, under eps: %s" % (eps, diam, diam < eps))

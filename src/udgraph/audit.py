@@ -2,12 +2,14 @@
 
 The lower-bound side is a small rule engine. In any faithful realization,
 each full-degree A vertex forces the whole B side onto a unit sphere around
-it; s such vertices cut the ambient dimension down by an offset of min(s, 3).
+it. With B on a sphere S^k of radius at most 1, the s such vertices sit at
+its centre (radius 1) or on a sphere of dimension d - k - 2, so they need
+d >= k + min(s, 3). A one-vertex B side is the case k = -1, radius 0: they
+lie on S^(d-1) about it, so one or two need d >= 1 and three need d >= 2.
 Within a common sphere, an independence chain (three distinct starting
 points, then repeated extension by a vertex excluded from a condition that
-contains the whole prefix) forces affine rank to grow, which bounds the
-sphere dimension from below. These rules are deliberately incomplete;
-UNDECIDED is an honest verdict.
+contains the whole prefix) forces affine rank to grow, which bounds k from
+below. These rules are deliberately incomplete; UNDECIDED is an honest verdict.
 
 The upper-bound side realizes the H-system on a sphere (realize_hsystem),
 scales it, and places the A vertices on complementary spheres, producing a
@@ -27,17 +29,15 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
 from .embed import (
     Embedding,
-    FlatnessBudget,
     HSystem,
     RealizationError,
     growth_dimension,
-    place_on_spheres,
     realize_hsystem,
     verified_witness,
 )
@@ -91,15 +91,14 @@ def hsystem_of(g: Graph, side: str = "A") -> HSystem:
         raise ValueError("side must be 'A' or 'B'")
     a, b = bipartition_of(g)
     cond_side, ground = (a, b) if side == "A" else (b, a)
-    m = len(ground)
-    s = 0
-    conditions = []
-    for nb in neighborhoods_in(g, cond_side, ground).values():
-        if len(nb) < m:
-            conditions.append(nb)
-        elif m > 0:
-            s += 1
-    return HSystem(m=m, conditions=tuple(conditions), s=s)
+    return _hsystem(neighborhoods_in(g, cond_side, ground), len(ground))
+
+
+def _hsystem(nbhds: dict, m: int) -> HSystem:
+    """hsystem_of for neighborhoods over a ground side of m vertices."""
+    nbs = nbhds.values()
+    return HSystem(m=m, conditions=tuple(nb for nb in nbs if len(nb) < m),
+                   s=sum(len(nb) == m for nb in nbs) if m else 0)
 
 
 def lemedge_bound(k: int) -> int:
@@ -208,54 +207,70 @@ def _lower_rules(h: HSystem, side: str) -> tuple:
     return best, rules
 
 
-_S_OFFSET = {1: 1, 2: 2}  # s >= 3 gives offset 3
+def _offset(s: int) -> int:
+    """Dimensions the s >= 1 full-degree vertices add above the B sphere's:
+    one centre, two poles of a 0-sphere, or three points of a circle."""
+    return min(max(s, 1), 3)
 
 
-def _required_dimension(s: int, k_lower: int):
-    """Certified minimum ambient dimension, or None when s = 0 (no common
-    sphere, so the chain machinery says nothing about realizations)."""
-    if s == 0:
-        return None
-    return k_lower + _S_OFFSET.get(s, 3)
+class _Side(NamedTuple):
+    """One side's neighborhoods over the ground side, with what they certify;
+    required is None when s = 0, where there is no common sphere."""
+
+    name: str
+    ground: list
+    nbhds: dict
+    h: HSystem
+    k_lower: int
+    rules: list
+    required: int | None
+
+
+def _sides(g: Graph) -> tuple:
+    """(_Side A, _Side B) from one bipartition of g."""
+    a, b = bipartition_of(g)
+    out = []
+    for name, cond, ground in (("A", a, b), ("B", b, a)):
+        nbhds = neighborhoods_in(g, cond, ground)
+        h = _hsystem(nbhds, len(ground))
+        k_low, rules = _lower_rules(h, name)
+        # one ground vertex: k = -1 and radius 0, no centre for a lone one
+        k, s = (-1, max(h.s, 2)) if h.m == 1 else (k_low, h.s)
+        required = k + _offset(s) if h.s else None
+        out.append(_Side(name, ground, nbhds, h, k_low, rules, required))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
 # upper side: witness construction
 
 
-def _construct_side(g: Graph, d_query: int, cond_side, ground, h: HSystem,
-                    seed: int):
+def _construct_side(g: Graph, d_query: int, side: _Side, seed: int):
     """Witness embedding via H-system realization plus sphere placement.
 
-    Returns (embedding at dim d_query, params dict) or None. The B side is
-    the realized H-system scaled by r. With exactly one full-degree vertex
-    the sphere stays at radius 1 so that vertex can sit at the center;
-    otherwise r = 0.3, which fattens every complementary sphere (radius
-    sqrt(1-r^2) instead of near zero) and, for s >= 2, splits the full-degree
-    centers off the sphere onto fresh axes. Every other A vertex goes to the
-    complementary sphere of its neighborhood's minimal sphere.
+    Returns (embedding at dim d_query, params dict) or None. The ground side
+    is the realized H-system scaled by r in k + _offset(s) dimensions. With
+    exactly one full-degree vertex the sphere stays at radius 1 so that
+    vertex can sit at the center; otherwise r = 0.3, which fattens every
+    complementary sphere (radius sqrt(1-r^2) instead of near zero) and, for
+    s >= 2, splits the full-degree centers off the sphere onto fresh axes.
+    Every other vertex goes to the complementary sphere of its
+    neighborhood's minimal sphere.
     """
-    s = h.s
-    extra = 0 if s <= 1 else (1 if s == 2 else 2)
-    k = growth_dimension(h.sizes)
-    d_up = k + 1 + extra
+    s = side.h.s
+    k = growth_dimension(side.h.sizes)
+    d_up = k + _offset(s)
     if d_up > d_query:
         return None
     r = 1.0 if s == 1 else 0.3
-    nbhds = neighborhoods_in(g, cond_side, ground)
-
     for attempt in range(20):
         try:
-            _, unit_pts = realize_hsystem(
-                h, FlatnessBudget(eps=0.2), seed=seed * 1009 + attempt)
+            _, unit_pts = realize_hsystem(side.h, eps=0.2, seed=seed * 1009 + attempt)
         except RealizationError:
             continue
         rng = np.random.default_rng([seed, attempt, 77])
         bpts = np.pad(r * unit_pts, ((0, 0), (0, d_up - unit_pts.shape[1])))
-        placed = place_on_spheres(nbhds, bpts, d_up, rng)
-        if placed is None:
-            continue
-        emb = verified_witness(g, d_query, ground, bpts, placed)
+        emb = verified_witness(g, d_query, side.ground, bpts, side.nbhds, rng)
         if emb is not None:
             return emb, {"k": k, "s": s, "dim_constructed": d_up, "r": r}
     return None
@@ -270,58 +285,30 @@ def faithful_dim_audit(g: Graph, d: int) -> AuditReport:
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
-    a, b = bipartition_of(g)
-    gid = graph_id(g)
-
-    sides = {}
-    for side, (cond, ground) in (("A", (a, b)), ("B", (b, a))):
-        h = hsystem_of(g, side=side)
-        k_low, rules = _lower_rules(h, side)
-        req = _required_dimension(h.s, k_low)
-        sides[side] = {
-            "h": h, "k_lower": k_low, "rules": rules, "required": req,
-            "cond": cond, "ground": ground,
-        }
-
-    lead = max(
-        ("A", "B"),
-        key=lambda nm: (-1 if sides[nm]["required"] is None
-                        else sides[nm]["required"]),
+    sides = _sides(g)
+    lead = max(sides, key=lambda sd: -1 if sd.required is None else sd.required)
+    chain = list(lead.rules)
+    if lead.required is not None:
+        chain.append({"rule": "s_offset", "params": {
+            "side": lead.name, "s": lead.h.s, "offset": lead.required - lead.k_lower,
+            "required_d": lead.required}})
+    report = AuditReport(
+        graph_id=graph_id(g), d_queried=d, verdict="UNDECIDED",
+        k_lower=lead.k_lower, k_upper=growth_dimension(lead.h.sizes),
+        s=lead.h.s, rule_chain=tuple(chain),
     )
-    required = sides[lead]["required"]
+    if lead.required is not None and d < lead.required:
+        return replace(report, verdict="NOT_REALIZABLE")
 
-    def without_witness(verdict: str) -> AuditReport:
-        info = sides[lead]
-        chain = list(info["rules"])
-        if required is not None:
-            chain.append({
-                "rule": "s_offset",
-                "params": {"side": lead, "s": info["h"].s,
-                           "offset": required - info["k_lower"],
-                           "required_d": required},
-            })
-        return AuditReport(
-            graph_id=gid, d_queried=d, verdict=verdict,
-            k_lower=info["k_lower"], k_upper=lemedge2_guarantee(info["h"].sizes)[1],
-            s=info["h"].s, rule_chain=tuple(chain),
-        )
-
-    if required is not None and d < required:
-        return without_witness("NOT_REALIZABLE")
-
-    for side in ("A", "B"):
-        info = sides[side]
-        out = _construct_side(g, d, info["cond"], info["ground"], info["h"],
-                              seed=(0 if side == "A" else 1))
+    for seed, side in enumerate(sides):
+        out = _construct_side(g, d, side, seed)
         if out is not None:
             emb, params = out
-            chain = list(info["rules"])
-            chain.append({"rule": "construction",
-                          "params": {"side": side, **params}})
-            return AuditReport(
-                graph_id=gid, d_queried=d, verdict="REALIZABLE",
-                k_lower=info["k_lower"], k_upper=params["k"], s=info["h"].s,
-                rule_chain=tuple(chain), embedding=emb,
+            construction = {"rule": "construction", "params": {"side": side.name, **params}}
+            return replace(
+                report, verdict="REALIZABLE", k_lower=side.k_lower,
+                k_upper=params["k"], s=side.h.s,
+                rule_chain=(*side.rules, construction), embedding=emb,
             )
 
     if g.m == 0 and d >= 1:
@@ -329,10 +316,9 @@ def faithful_dim_audit(g: Graph, d: int) -> AuditReport:
         # apart on the first axis, every pair is 1 clear of unit length
         points = np.zeros((g.n, d))
         points[:, 0] = 2.0 * np.arange(g.n)
-        report = without_witness("REALIZABLE")
         return replace(
-            report, embedding=Embedding(dim=d, points=points),
+            report, verdict="REALIZABLE", embedding=Embedding(dim=d, points=points),
             rule_chain=report.rule_chain + ({"rule": "edgeless_line", "params": {"spacing": 2.0}},),
         )
 
-    return without_witness("UNDECIDED")
+    return report

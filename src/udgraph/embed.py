@@ -12,10 +12,10 @@ Three constructions live here:
   too big to satisfy in general position.
 * embed_bipartite_faithful: faithful realization in R^d of a bipartite graph
   whose A-side degrees are at most d, in two parts. _b_cluster_ok accepts a
-  small, nearly flat B cluster in general position; place_on_spheres then puts
-  every A vertex on the complementary sphere of its neighborhood, rejection
-  sampling for a real margin between every non-edge and unit length, and
-  verified_witness assembles the result and passes it through verify.accepts.
+  small, nearly flat B cluster in general position; verified_witness then has
+  place_on_spheres put every A vertex on the complementary sphere of its
+  neighborhood, rejection sampling for a real margin between every non-edge
+  and unit length, and passes the result through verify.accepts.
 """
 
 from __future__ import annotations
@@ -221,24 +221,6 @@ class HSystem:
         return [len(h) for h in self.conditions]
 
 
-@dataclass(frozen=True)
-class FlatnessBudget:
-    """Rotation schedule for the incremental realization.
-
-    angle(l) = eps * 2^(-l-4) for the 1-based step index l; the angles sum to
-    eps/16, comfortably inside the eps/4 budget, so the point cloud stays
-    eps-flat throughout.
-    """
-
-    eps: float = 0.01
-
-    def angle(self, l: int) -> float:
-        return self.eps * 2.0 ** (-l - 4)
-
-    def total(self, steps: int) -> float:
-        return sum(self.angle(l) for l in range(1, steps + 1))
-
-
 def growth_dimension(sizes) -> int:
     """Sphere dimension realize_hsystem will reach for these condition sizes.
 
@@ -291,26 +273,25 @@ def _conditions_hold(points: np.ndarray, conditions, upto: int) -> bool:
     return True
 
 
-def realize_hsystem(h: HSystem, budget: FlatnessBudget | None = None, seed: int = 0):
+def realize_hsystem(h: HSystem, eps: float = 0.01, seed: int = 0):
     """Realize the conditions by m distinct points on a unit sphere S^k.
 
     Starts on the circle (k = 1) and walks the conditions in nondecreasing
     size order. A condition of size at most k+1 is satisfiable in general
     position, so the whole cloud is resampled as a flat cap and rechecked.
     A larger condition forces k to grow by one: a fresh coordinate is added
-    and every point is rotated by angle(l) into it, positively for members of
-    the condition and negatively for the rest, which parks the members on a
-    hyperplane the others provably avoid. Returns (k, points) with points of
-    shape (m, k+1); k never exceeds the subsequence guarantee s+1 of
-    lemedge2_guarantee.
+    and every point is rotated into it by eps * 2^(-l-4) at the 1-based step
+    index l, positively for members of the condition and negatively for the
+    rest, which parks the members on a hyperplane the others provably avoid.
+    The angles sum to eps/16, inside the eps/4 budget, so the cloud stays
+    eps-flat. Returns (k, points) with points of shape (m, k+1); k never
+    exceeds the subsequence guarantee s+1 of lemedge2_guarantee.
     """
-    if budget is None:
-        budget = FlatnessBudget()
     if h.m == 0:
         return 1, np.zeros((0, 2))
     for attempt in range(_MAX_RETRIES):
         rng = np.random.default_rng([seed, attempt])
-        out = _realize_once(h, budget, rng)
+        out = _realize_once(h, eps, rng)
         if out is not None:
             return out
     raise RealizationError(
@@ -318,25 +299,23 @@ def realize_hsystem(h: HSystem, budget: FlatnessBudget | None = None, seed: int 
     )
 
 
-def _realize_once(h: HSystem, budget: FlatnessBudget, rng: np.random.Generator):
+def _realize_once(h: HSystem, eps: float, rng: np.random.Generator):
     k = 1
-    pts = _cap_sample(h.m, k, budget.eps / 2.0, rng)
+    pts = _cap_sample(h.m, k, eps / 2.0, rng)
     for l, H in enumerate(h.conditions, start=1):
         if len(H) >= k + 2:
             k += 1
-            phi = budget.angle(l)
+            phi = eps * 2.0 ** (-l - 4)
             signs = np.array([1.0 if i in H else -1.0 for i in range(h.m)])
             pts = np.hstack([math.cos(phi) * pts, math.sin(phi) * signs[:, None]])
             if not _conditions_hold(pts, h.conditions, l):
                 return None
         else:
-            ok = False
             for _ in range(50):
-                pts = _cap_sample(h.m, k, budget.eps / 2.0, rng)
+                pts = _cap_sample(h.m, k, eps / 2.0, rng)
                 if _conditions_hold(pts, h.conditions, l):
-                    ok = True
                     break
-            if not ok:
+            else:
                 return None
     return k, pts
 
@@ -414,7 +393,7 @@ def _margins_ok(y: np.ndarray, others: np.ndarray) -> bool:
     return bool(dd.min() >= _WORKING_SEP and np.abs(dd - 1.0).min() >= _SAMPLE_MARGIN)
 
 
-def place_on_spheres(nbhds: dict, bpts: np.ndarray, dim: int,
+def place_on_spheres(nbhds: dict, bpts: np.ndarray,
                      rng: np.random.Generator) -> dict | None:
     """Place each vertex v at unit distance from the points bpts[nbhds[v]].
 
@@ -425,10 +404,10 @@ def place_on_spheres(nbhds: dict, bpts: np.ndarray, dim: int,
     on its complementary sphere, and one with an empty neighborhood far from
     the cluster, up to 200 tries each. Each point must keep _WORKING_SEP from
     and _SAMPLE_MARGIN off unit distance to its non-neighbors in bpts and to
-    everything placed before it. Returns {v: point}, or None when some vertex
-    finds no place.
+    everything placed before it. Returns {v: point in bpts' dimension}, or
+    None when some vertex finds no place.
     """
-    m = bpts.shape[0]
+    m, dim = bpts.shape
     placed: dict = {}
 
     def surroundings(v) -> np.ndarray:
@@ -483,13 +462,17 @@ def place_on_spheres(nbhds: dict, bpts: np.ndarray, dim: int,
     return placed
 
 
-def verified_witness(g: Graph, dim: int, ground, bpts: np.ndarray,
-                     placed: dict) -> Embedding | None:
+def verified_witness(g: Graph, dim: int, ground, bpts: np.ndarray, nbhds: dict,
+                     rng: np.random.Generator) -> Embedding | None:
     """g's embedding in R^dim with the ground vertices at the rows of bpts and
-    the placed ones at theirs, zero-padded; None unless verify.accepts it with
-    points more than TOL_DISTINCT apart and every non-edge MARGIN_NONEDGE
-    clear of unit length. Both exceed TOL_VERIFY, so an accepted embedding
-    verifies faithfully at TOL_VERIFY."""
+    the others where place_on_spheres(nbhds, bpts, rng) puts them,
+    zero-padded; None when placement fails or verify.accepts refuses the
+    result, which asks for points more than TOL_DISTINCT apart and every
+    non-edge MARGIN_NONEDGE clear of unit length. Both exceed TOL_VERIFY, so
+    an accepted embedding verifies faithfully at TOL_VERIFY."""
+    placed = place_on_spheres(nbhds, bpts, rng)
+    if placed is None:
+        return None
     points = np.zeros((g.n, dim))
     k = bpts.shape[1]
     points[np.asarray(ground, dtype=int), :k] = bpts
@@ -548,10 +531,10 @@ def embed_bipartite_faithful(g: Graph, d: int, seed: int = 0) -> Embedding:
     """Faithful realization in R^d of a bipartite graph with A-degrees <= d.
 
     The B side becomes a flat cluster of diameter B_DIAMETER passing the
-    general-position checks of _b_cluster_ok. place_on_spheres then puts each
-    A vertex on the complementary sphere of its neighborhood's minimal sphere,
-    so neighbor distances are exactly 1; degree-d vertices get its two poles.
-    The result passes verified_witness before being returned.
+    general-position checks of _b_cluster_ok. verified_witness then has
+    place_on_spheres put each A vertex on the complementary sphere of its
+    neighborhood's minimal sphere, so neighbor distances are exactly 1;
+    degree-d vertices get its two poles.
     """
     if d < 2:
         raise PreconditionError("d must be at least 2")
@@ -563,10 +546,7 @@ def embed_bipartite_faithful(g: Graph, d: int, seed: int = 0) -> Embedding:
         bpts = _sample_b_cluster(len(side_b), d, rng)
         if not _b_cluster_ok(bpts, d):
             continue
-        placed = place_on_spheres(nbhds, bpts, d, rng)
-        if placed is None:
-            continue
-        emb = verified_witness(g, d, side_b, bpts, placed)
+        emb = verified_witness(g, d, side_b, bpts, nbhds, rng)
         if emb is not None:
             return emb
     raise RealizationError(

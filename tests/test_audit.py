@@ -18,6 +18,7 @@ from udgraph.audit import (
     lemedge2_guarantee,
     lemedge_bound,
 )
+from udgraph.census import _canonical_masks, _graph_of_mask
 from udgraph.embed import HSystem
 from udgraph.graphs import (
     Graph,
@@ -236,9 +237,63 @@ def test_audit_report_invariants_and_json():
     assert any("chain" in n or "R1" in n for n in names)
 
 
+@pytest.mark.parametrize("leaves", [3, 4, 5])
+def test_audit_realizes_stars_in_the_plane(leaves):
+    # the leaves' side of K_{1,t} has a one-vertex ground: its full-degree
+    # vertices lie on the unit circle about it, so the plane is enough
+    star = make_complete_multipartite([1, leaves])
+    for a in (None, {0}, set(range(1, leaves + 1))):
+        g = Graph(star.n, star.edges, bipartition_a=a)
+        r = faithful_dim_audit(g, 2)
+        assert r.verdict == "REALIZABLE", a
+        assert verify(g, r.embedding, mode="faithful", tol=1e-7).passed
+
+
+def test_audit_one_vertex_ground_offsets():
+    # S^(d-1) about the ground vertex holds one or two full-degree vertices
+    # from d = 1 on and three from d = 2 on
+    p3 = make_complete_multipartite([1, 2])
+    assert faithful_dim_audit(Graph(3, p3.edges), 1).verdict == "UNDECIDED"
+    r = faithful_dim_audit(Graph(4, p3.edges, bipartition_a={1, 2, 3}), 1)
+    assert r.verdict == "UNDECIDED"
+    assert r.rule_chain[-1] == {"rule": "s_offset", "params": {
+        "side": "A", "s": 2, "offset": 1, "required_d": 1}}
+    assert faithful_dim_audit(p3, 0).verdict == "NOT_REALIZABLE"
+    assert faithful_dim_audit(make_complete(2), 0).verdict == "NOT_REALIZABLE"
+    r = faithful_dim_audit(make_complete_multipartite([1, 3]), 1)
+    assert r.verdict == "NOT_REALIZABLE"
+    assert r.rule_chain[-1]["params"]["required_d"] == 2
+
+
+def _proper_bipartitions(g):
+    """Every vertex set A with each edge of g crossing from A to the rest."""
+    for k in range(g.n + 1):
+        for a in combinations(range(g.n), k):
+            if all((u in a) != (v in a) for u, v in g.edges):
+                yield frozenset(a)
+
+
 def test_audit_soundness_solver_cannot_beat_refutations():
-    # spot-check the soundness invariant: where the audit refutes, the
-    # numeric solver must come up empty as well
+    # wherever the audit refutes, the numeric solver must find no witness:
+    # every bipartite graph on at most 5 vertices under every bipartition,
+    # and two larger refutations
+    cfg = SolverConfig(seed=0, restarts=20)
+    beaten = {}
+    for n in range(1, 6):
+        canon = _canonical_masks(n)
+        for mask in (m for m, c in enumerate(canon) if m == c):
+            g = _graph_of_mask(mask, n)
+            for a in _proper_bipartitions(g):
+                ga = Graph(n, g.edges, bipartition_a=a)
+                for d in (1, 2, 3):
+                    if faithful_dim_audit(ga, d).verdict != "NOT_REALIZABLE":
+                        continue
+                    if (mask, n, d) not in beaten:
+                        res = solve_faithful(g, d, cfg)
+                        beaten[mask, n, d] = res.embedding is not None and verify(
+                            g, res.embedding, mode="faithful", tol=1e-7).passed
+                    assert not beaten[mask, n, d], (n, sorted(g.edges), sorted(a), d)
+    assert beaten
     cfg = SolverConfig(seed=0, restarts=25, max_iters=800)
     for g, d in ((make_complete_multipartite([3, 3]), 3), (make_kprime(4), 4)):
         assert faithful_dim_audit(g, d).verdict == "NOT_REALIZABLE"

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from udgraph.embed import (
     B_DIAMETER,
     Embedding,
-    FlatnessBudget,
     HSystem,
     PreconditionError,
     RealizationError,
@@ -173,14 +172,6 @@ def test_growth_dimension_examples():
     assert growth_dimension((3, 4, 5)) == 4
 
 
-def test_flatness_budget_schedule():
-    b = FlatnessBudget(eps=0.16)
-    angles = [b.angle(l) for l in range(1, 30)]
-    assert all(a > 0 for a in angles)
-    assert all(angles[i] > angles[i + 1] for i in range(len(angles) - 1))
-    assert sum(angles) <= 0.16 / 4
-
-
 @st.composite
 def _hsystems(draw):
     m = draw(st.integers(min_value=3, max_value=6))
@@ -198,12 +189,14 @@ def _hsystems(draw):
 def test_realize_dimension_never_exceeds_guarantee(h, seed):
     from udgraph.audit import lemedge2_guarantee
 
-    k, pts = realize_hsystem(h, seed=seed)
     s, k_ok = lemedge2_guarantee(h.sizes)
-    assert k == growth_dimension(h.sizes)
-    assert k <= k_ok
-    assert pts.shape == (h.m, k + 1)
-    np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-9)
+    # 0.2 is the flatness the audit's construction asks for
+    for eps in (0.01, 0.2):
+        k, pts = realize_hsystem(h, eps=eps, seed=seed)
+        assert k == growth_dimension(h.sizes)
+        assert k <= k_ok
+        assert pts.shape == (h.m, k + 1)
+        np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-9)
 
 
 def test_realize_conditions_hold_as_rank_statements():
