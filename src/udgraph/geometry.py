@@ -94,9 +94,11 @@ def minimal_sphere(points) -> Sphere:
     extracted greedily (first point first, then every point that raises the
     rank). The sphere is the circumsphere of that subset, inside its affine
     hull: in hull coordinates y_i the center solves
-    2 (y_i - y_0) . c = |y_i - y_0|^2. Every point must sit on it within
-    TOL_SPHERE, off its flat and off its radius alike. Intended for subsets
-    of a sampled sphere; raises ValueError if the points are not concyclic.
+    2 (y_i - y_0) . c = |y_i - y_0|^2; a subset that spans R^d keeps its
+    ambient coordinates, as circumradii does. Every point must sit on it
+    within TOL_SPHERE, off its flat and off its radius alike. Intended for
+    subsets of a sampled sphere; raises ValueError if the points are not
+    concyclic.
     """
     pts = as_points(points)
     n, d = pts.shape
@@ -116,7 +118,9 @@ def minimal_sphere(points) -> Sphere:
         _, sv, vt = np.linalg.svd(diffs, full_matrices=False)
         if sv[0] <= 0.0 or np.sum(sv > TOL_RANK * sv[0]) != len(diffs):
             raise ValueError("spanning subset is affinely dependent")
-        basis = vt[: len(diffs)]
+        # a subset spanning R^d is solved in ambient coordinates: rotating it
+        # into hull coordinates only adds rounding that the solve amplifies
+        basis = np.eye(d) if len(diffs) == d else vt[: len(diffs)]
         y = diffs @ basis.T
         c = np.linalg.solve(2.0 * y, np.sum(y * y, axis=1))
         center = pts[chosen[0]] + basis.T @ c

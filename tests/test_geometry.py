@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from udgraph.geometry import (
@@ -154,6 +154,8 @@ def test_affine_ranks_edge_shapes():
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5), d=st.integers(1, 5),
        on_unit_sphere=st.booleans())
+# ill-conditioned: a solve in rotated hull coordinates misses by 1.1e-12 here
+@example(seed=165, k=3, d=4, on_unit_sphere=True)
 def test_circumradii_matches_circumsphere(seed, k, d, on_unit_sphere):
     rng = np.random.default_rng(seed)
     stack = rng.normal(size=(k, d + 1, d))
@@ -176,11 +178,14 @@ def test_circumradii_rejects_wrong_shape():
 
 def _circumsphere(pts):
     """Sphere through affinely independent points, inside their hull: one SVD
-    of the differences to the first point, one solve in hull coordinates."""
+    of the differences to the first point, one solve in hull coordinates
+    (ambient ones when the points span R^d)."""
     if len(pts) == 1:
         return pts[0].copy(), 0.0, np.zeros((0, pts.shape[1]))
     diffs = pts[1:] - pts[0]
     basis = np.linalg.svd(diffs, full_matrices=False)[2][: len(diffs)]
+    if len(diffs) == pts.shape[1]:
+        basis = np.eye(pts.shape[1])
     y = diffs @ basis.T
     c = np.linalg.solve(2.0 * y, np.sum(y * y, axis=1))
     return pts[0] + basis.T @ c, float(np.linalg.norm(c)), basis
