@@ -4,12 +4,14 @@ Counting unit-distance graphs and comparing against the zero-pattern bound
 """
 
 import math
+from itertools import combinations
 
 from udgraph import (
+    Graph,
     SolverConfig,
     count_distance,
     count_faithful,
-    ramsey_exact,
+    linear_forest_oracle,
     ramsey_fd_lower,
     zero_pattern_bound,
 )
@@ -50,4 +52,11 @@ print("check against binomial form:", zero_pattern_bound(20, 2) == math.comb(380
 print()
 for s, d in ((3, 1), (6, 1), (8, 2)):
     print("ramsey lower bound s=%d d=%d:" % (s, d), ramsey_fd_lower(s, d))
-print("exact value s=3 d=1:", ramsey_exact(3, 1))
+# the exact number is s itself for s <= 3 in every dimension: each graph on
+# 3 vertices, or its complement, is a union of paths, faithful on the line
+pairs = list(combinations(range(3), 2))
+subsets = [list(e) for k in range(4) for e in combinations(pairs, k)]
+print("every graph on 3 vertices or its complement is a linear forest:",
+      all(linear_forest_oracle(Graph(3, e))
+          or linear_forest_oracle(Graph(3, [p for p in pairs if p not in e]))
+          for e in subsets))

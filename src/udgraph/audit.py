@@ -21,6 +21,9 @@ With no full-degree vertex (s = 0) there is no common sphere and the chain
 rule does not apply to realizations, so the audit never claims
 NOT_REALIZABLE in that case: the path on five vertices is faithful on the
 integer line yet its H-system would naively suggest a 2-dimensional bound.
+
+R^0 is a single point, so d = 0 is decided outright once the offset rule
+has had its say: at most one vertex fits and two never do.
 """
 
 from __future__ import annotations
@@ -299,6 +302,13 @@ def faithful_dim_audit(g: Graph, d: int) -> AuditReport:
     )
     if lead.required is not None and d < lead.required:
         return replace(report, verdict="NOT_REALIZABLE")
+    if d == 0:
+        # R^0 is one point: it holds one vertex and no two distinct ones
+        point_chain = report.rule_chain + ({"rule": "point_space", "params": {"n": g.n}},)
+        if g.n >= 2:
+            return replace(report, verdict="NOT_REALIZABLE", rule_chain=point_chain)
+        return replace(report, verdict="REALIZABLE", rule_chain=point_chain,
+                       embedding=Embedding(dim=0, points=np.zeros((g.n, 0))))
 
     for seed, side in enumerate(sides):
         out = _construct_side(g, d, side, seed)

@@ -15,8 +15,10 @@ verify and whose exhausted search is evidence, never proof. The method tag
 on every entry keeps these three kinds of answer apart.
 
 Also provides the zero-pattern counting bound C(n(n-1), nd) on the number
-of faithfully realizable graphs, and two Ramsey-style calculators built on
-top of the census machinery.
+of faithfully realizable graphs and the Ramsey-style lower bound built on
+it. The matching exact Ramsey search is trivial where a census can run it:
+for s <= 3 every graph on s vertices or its complement is a linear forest,
+faithful on the line and so in every R^d.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, permutations, repeat
+
+import numpy as np
 
 from .graphs import Graph
 from .solver import MARGIN_NONEDGE, TOL_RESIDUAL, SolverConfig, solve_distance, solve_faithful
@@ -185,22 +189,6 @@ def _pairs(n: int) -> tuple:
     return tuple(combinations(range(n), 2))
 
 
-def _positions(n: int, verts) -> tuple:
-    """Bit positions, in an n-vertex mask, of the pairs of verts taken in
-    _pairs(len(verts)) order."""
-    index = {p: i for i, p in enumerate(_pairs(n))}
-    ends = ((verts[a], verts[b]) for a, b in _pairs(len(verts)))
-    return tuple(index[(x, y) if x < y else (y, x)] for x, y in ends)
-
-
-def _gather(mask: int, positions) -> int:
-    """The bits of mask at positions, packed in order into a new mask."""
-    out = 0
-    for i, pos in enumerate(positions):
-        out |= (mask >> pos & 1) << i
-    return out
-
-
 def _edge_table(n: int) -> list:
     """The edges of every n-vertex mask, in mask order: a mask's edges are
     those of the mask without its top bit, then the top bit's pair."""
@@ -219,17 +207,22 @@ def _graph_of_mask(mask: int, n: int) -> Graph:
 def _canonical_masks(n: int) -> list:
     """The least mask isomorphic to each n-vertex mask, by an orbit sweep.
 
-    Masks are walked in ascending order, so the first one not yet labelled is
-    the least of its class, and every image of it under the n! relabelings
-    gets it as label.
+    Row p of the (n!, C(n,2)) weight table holds, for each pair, the bit
+    weight of its image under the p-th relabeling, so weight @ bits(mask)
+    lists every relabeled copy of mask. Masks are walked in ascending order,
+    so the first one not yet labelled is the least of its class and labels
+    all its images.
     """
-    tables = {_positions(n, perm) for perm in permutations(range(n))}
-    canon = [None] * (1 << math.comb(n, 2))
-    for mask in range(len(canon)):
-        if canon[mask] is None:
-            for positions in tables:
-                canon[_gather(mask, positions)] = mask
-    return canon
+    pairs = _pairs(n)
+    index = {p: i for i, p in enumerate(pairs)}
+    weight = np.array([[1 << index[min(p[u], p[v]), max(p[u], p[v])] for u, v in pairs]
+                       for p in permutations(range(n))], dtype=np.int64)
+    shifts = np.arange(len(pairs))
+    canon = np.full(1 << len(pairs), -1)
+    for mask in range(canon.size):
+        if canon[mask] < 0:
+            canon[weight @ (mask >> shifts & 1)] = mask
+    return canon.tolist()
 
 
 def _classify_rep(mask: int, n: int, d: int, semantics: str, cfg: SolverConfig):
@@ -404,31 +397,3 @@ def ramsey_fd_lower(s: int, d: int) -> int:
     while math.comb(m + 1, s) * 2 * bound < full:
         m += 1
     return m
-
-
-def ramsey_exact(s: int, d: int, max_m: int = 8, cfg: SolverConfig = None):
-    """Smallest m forcing a realizable induced s-subgraph, or "UNKNOWN".
-
-    Exhaustive search: m qualifies when every graph on m vertices has an
-    induced s-vertex subgraph such that it or its complement is faithfully
-    realizable in R^d. Returns the smallest qualifying m <= max_m, or the
-    string "UNKNOWN" when none is found in range.
-    """
-    if not 2 <= s <= 3:
-        raise ValueError(f"supported range is 2 <= s <= 3, got s={s}")
-    if not s <= max_m <= 8:
-        raise ValueError(f"need s <= max_m <= 8, got max_m={max_m}")
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got d={d}")
-
-    realizable = [e.status == STATUS_REALIZABLE
-                  for e in _run_census(s, d, "faithful", cfg, 1).entries]
-    full_s = len(realizable)
-    qualifying = {sub for sub in range(full_s) if realizable[sub] or realizable[full_s - 1 - sub]}
-    for m in range(s, max_m + 1):
-        # for each s-subset, the positions of its pairs in the m-graph mask
-        subset_bits = [_positions(m, subset) for subset in combinations(range(m), s)]
-        if all(any(_gather(mask, bits) in qualifying for bits in subset_bits)
-               for mask in range(1 << math.comb(m, 2))):
-            return m
-    return "UNKNOWN"

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .audit import faithful_dim_audit
-from .census import count_distance, count_faithful, ramsey_exact, ramsey_fd_lower, zero_pattern_bound
+from .census import count_distance, count_faithful, ramsey_fd_lower, zero_pattern_bound
 from .embed import (
     Embedding,
     PreconditionError,
@@ -192,12 +192,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_ramsey(args) -> int:
-    if args.kind == "lower":
-        sys.stdout.write(f"{ramsey_fd_lower(args.s, args.dim)}\n")
-    else:
-        cfg = SolverConfig(seed=args.seed)
-        outcome = ramsey_exact(args.s, args.dim, max_m=args.max_m, cfg=cfg)
-        sys.stdout.write(f"{outcome}\n")
+    sys.stdout.write(f"{ramsey_fd_lower(args.s, args.dim)}\n")
     return 0
 
 
@@ -313,12 +308,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("ramsey", help="Ramsey-style bounds from the census machinery")
-    p.add_argument("kind", choices=["lower", "exact"])
+    p = sub.add_parser("ramsey", help="counting lower bound on the faithful Ramsey number")
+    p.add_argument("kind", choices=["lower"])
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--max-m", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_ramsey)
 
     p = sub.add_parser("plot", help="render an embedding to SVG")

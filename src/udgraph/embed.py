@@ -139,6 +139,12 @@ def _circle_points(count: int) -> np.ndarray:
     return np.stack([r * np.cos(angles), r * np.sin(angles)], axis=1)
 
 
+def _place_on_circles(points: np.ndarray, classes) -> None:
+    """Put class c on _circle_points in coordinates (2c, 2c+1) of points."""
+    for c, cls in enumerate(classes):
+        points[cls, 2 * c : 2 * c + 2] = _circle_points(len(cls))
+
+
 def embed_colorable(g: Graph, coloring=None) -> Embedding:
     """Distance-graph embedding in R^{2k} from a proper k-coloring.
 
@@ -154,10 +160,7 @@ def embed_colorable(g: Graph, coloring=None) -> Embedding:
     if k == 0:
         return Embedding(dim=0, points=np.zeros((0, 0)))
     points = np.zeros((g.n, 2 * k))
-    for c, cls in enumerate(classes):
-        circ = _circle_points(len(cls))
-        for row, v in enumerate(cls):
-            points[v, 2 * c : 2 * c + 2] = circ[row]
+    _place_on_circles(points, classes)
     return Embedding(dim=2 * k, points=points)
 
 
@@ -175,10 +178,7 @@ def embed_singleton_coloring(g: Graph, coloring) -> Embedding:
     a, b = len(single), len(big)
     dim = a + 2 * b
     points = np.zeros((g.n, dim))
-    for c, cls in enumerate(big):
-        circ = _circle_points(len(cls))
-        for row, v in enumerate(cls):
-            points[v, 2 * c : 2 * c + 2] = circ[row]
+    _place_on_circles(points, big)
     for t, cls in enumerate(single):
         points[cls[0], 2 * b + t] = 1.0 / math.sqrt(2.0)
     return Embedding(dim=dim, points=points)

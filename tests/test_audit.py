@@ -273,6 +273,26 @@ def _proper_bipartitions(g):
                 yield frozenset(a)
 
 
+def test_audit_in_the_point_space():
+    # R^0 is one point: every bipartite graph on at most one vertex is
+    # realizable there and every one on two or more is not, under every
+    # bipartition; a refutation the offset rule already makes is kept
+    for n in range(5):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            g = _graph_of_mask(mask, n)
+            for a in _proper_bipartitions(g):
+                ga = Graph(n, g.edges, bipartition_a=a)
+                r = faithful_dim_audit(ga, 0)
+                last = r.rule_chain[-1]
+                if n <= 1:
+                    assert r.verdict == "REALIZABLE" and r.embedding.dim == 0
+                    assert verify(ga, r.embedding, mode="faithful", tol=1e-7).passed
+                else:
+                    assert r.verdict == "NOT_REALIZABLE" and r.embedding is None
+                if last["rule"] != "s_offset":
+                    assert last == {"rule": "point_space", "params": {"n": n}}
+
+
 def test_audit_soundness_solver_cannot_beat_refutations():
     # wherever the audit refutes, the numeric solver must find no witness:
     # every bipartite graph on at most 5 vertices under every bipartition,

@@ -1,4 +1,4 @@
-"""Census counting, exact oracles, and the Ramsey-style calculators."""
+"""Census counting, exact oracles, and the Ramsey-style lower bound."""
 
 import json
 import math
@@ -16,7 +16,6 @@ from udgraph.census import (
     count_faithful,
     is_krt_obstructed,
     linear_forest_oracle,
-    ramsey_exact,
     ramsey_fd_lower,
     zero_pattern_bound,
 )
@@ -350,17 +349,15 @@ def test_ramsey_fd_lower_rejects_dimension_below_1(d):
         ramsey_fd_lower(3, d)
 
 
-def test_ramsey_exact_values():
-    assert ramsey_exact(2, 1) == 2
-    assert ramsey_exact(2, 2, cfg=_FAST) == 2
-    assert ramsey_exact(3, 1) == 3
-    assert ramsey_exact(3, 2, cfg=_FAST) == 3
-
-
-def test_ramsey_exact_range_guards():
-    with pytest.raises(ValueError):
-        ramsey_exact(4, 1)
-    with pytest.raises(ValueError):
-        ramsey_exact(3, 1, max_m=9)
-    with pytest.raises(ValueError):
-        ramsey_exact(3, 1, max_m=2)
+def test_small_graphs_or_complements_are_linear_forests():
+    # why an exact faithful Ramsey number is trivial for s <= 3: every graph
+    # on s vertices or its complement is a union of paths, faithful on the
+    # line and hence in every R^d, so m = s vertices already force one
+    for s in (2, 3):
+        full = (1 << math.comb(s, 2)) - 1
+        for mask in range(full + 1):
+            assert (linear_forest_oracle(_graph_of_mask(mask, s))
+                    or linear_forest_oracle(_graph_of_mask(full ^ mask, s))), (s, mask)
+    claw = make_complete_multipartite([1, 3])
+    co_claw = Graph(4, [(1, 2), (1, 3), (2, 3)])
+    assert not linear_forest_oracle(claw) and not linear_forest_oracle(co_claw)

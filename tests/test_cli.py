@@ -313,8 +313,11 @@ def test_plot_empty_embedding(capsys, monkeypatch, tmp_path):
 def test_ramsey_commands(capsys, monkeypatch):
     code, out, _ = _run(capsys, monkeypatch, ["ramsey", "lower", "--s", "6", "--dim", "1"])
     assert code == 0 and out.strip() == "5"
-    code, out, _ = _run(capsys, monkeypatch, ["ramsey", "exact", "--s", "3", "--dim", "1"])
-    assert code == 0 and out.strip() == "3"
+    # the exact search was removed: argparse rejects the kind with a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["ramsey", "exact", "--s", "3", "--dim", "1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "invalid choice" in err and "Traceback" not in err
 
 
 def test_plot_writes_svg(capsys, monkeypatch, tmp_path):

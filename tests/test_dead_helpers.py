@@ -1,8 +1,11 @@
 """Every module-level private function, class and constant of the package is
-used somewhere in the package, so a refactor cannot leave one orphaned."""
+used somewhere in the package, and every public import of the package is
+exported, so a refactor cannot leave one orphaned or dangling."""
 
 import ast
 from pathlib import Path
+
+import udgraph
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "udgraph"
 
@@ -53,3 +56,13 @@ def test_an_orphaned_helper_is_reported():
     n = "import m\nfrom m import _C\n\nx = (_C, m._C)\n"
     trees = {"m.py": ast.parse(m), "n.py": ast.parse(n)}
     assert _orphans(trees) == ["m.py: _ORPHAN", "m.py: _f"]
+
+
+def test_exports_match_the_package_imports():
+    # every exported name exists, and every public name __init__ imports is
+    # exported, so a deletion cannot leave an entry of __all__ dangling
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert [name for name in udgraph.__all__ if not hasattr(udgraph, name)] == []
+    assert sorted(n for n in imported if not n.startswith("_")) == sorted(udgraph.__all__)
