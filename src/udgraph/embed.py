@@ -14,8 +14,11 @@ Three constructions live here:
   whose A-side degrees are at most d, in two parts. _b_cluster_ok accepts a
   small, nearly flat B cluster in general position; verified_witness then has
   place_on_spheres put every A vertex on the complementary sphere of its
-  neighborhood, rejection sampling for a real margin between every non-edge
-  and unit length, and passes the result through verify.accepts.
+  neighborhood and passes the result through verify.accepts. Forced vertices
+  (a center or a pole) are placed as their neighborhood group is reached;
+  the rest are rejection sampled for a real margin between every non-edge
+  and unit length, with one scalar draw first and then chunks of 2, 4,
+  8, ... draws screened at once on the same rng stream.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .geometry import (
+    Sphere,
     affine_ranks,
     circumradii,
     complementary_sphere,
@@ -393,19 +397,71 @@ def _margins_ok(y: np.ndarray, others: np.ndarray) -> bool:
     return bool(dd.min() >= _WORKING_SEP and np.abs(dd - 1.0).min() >= _SAMPLE_MARGIN)
 
 
+def _sphere_sample(comp: Sphere, others: np.ndarray,
+                   rng: np.random.Generator) -> np.ndarray | None:
+    """The first of up to 200 sphere_point draws on comp that passes
+    _margins_ok against others, or None; rng ends where drawing them one at
+    a time would leave it.
+
+    The first draw is sphere_point itself. After a miss the rest come in
+    chunks of 2, 4, 8, ... rows of one rng.normal call, which yields the same
+    normals as that many sphere_point calls. A chunk is screened against
+    others in one array, with 1e-9 of slack for the batched product's
+    rounding; the rows that pass are recomputed with sphere_point's own
+    expression and retested in draw order, and after an accepted row rng is
+    rewound to the chunk's start and redraws only the rows up to it. A
+    near-zero normal, which sphere_point would redraw, sends the rest of the
+    budget back to one draw at a time.
+    """
+    y = sphere_point(comp, rng)
+    if _margins_ok(y, others):
+        return y
+    k = len(comp.basis)
+    left, size = 199, 2
+    while left:
+        size = min(size, left)
+        state = rng.bit_generator.state
+        g = rng.normal(size=(size, k))
+        norms = np.linalg.norm(g, axis=1)
+        if norms.min() < 1e-12:
+            rng.bit_generator.state = state
+            break
+        ys = comp.center + comp.radius * ((g / norms[:, None]) @ comp.basis)
+        dd = np.linalg.norm(ys[:, None] - others[None], axis=2)
+        screen = ((dd.min(axis=1) >= _WORKING_SEP - 1e-9)
+                  & (np.abs(dd - 1.0).min(axis=1) >= _SAMPLE_MARGIN - 1e-9))
+        for j in np.flatnonzero(screen):
+            y = comp.center + comp.radius * (comp.basis.T @ (g[j] / np.linalg.norm(g[j])))
+            if _margins_ok(y, others):
+                rng.bit_generator.state = state
+                rng.normal(size=(j + 1, k))
+                return y
+        left -= size
+        size *= 2
+    for _ in range(left):
+        y = sphere_point(comp, rng)
+        if _margins_ok(y, others):
+            return y
+    return None
+
+
 def place_on_spheres(nbhds: dict, bpts: np.ndarray,
                      rng: np.random.Generator) -> dict | None:
     """Place each vertex v at unit distance from the points bpts[nbhds[v]].
 
-    A neighborhood whose minimal sphere has radius 1 spans a great sphere,
-    and its one vertex goes to the center. A zero-dimensional complementary
+    Neighborhood groups are taken in order of their first vertex. A
+    neighborhood whose minimal sphere has radius 1 spans a great sphere, and
+    its one vertex goes to the center. A zero-dimensional complementary
     sphere offers two poles: a lone vertex takes the first that clears the
-    margins, twins split them in vertex order. Every other vertex is sampled
-    on its complementary sphere, and one with an empty neighborhood far from
-    the cluster, up to 200 tries each. Each point must keep _WORKING_SEP from
-    and _SAMPLE_MARGIN off unit distance to its non-neighbors in bpts and to
-    everything placed before it. Returns {v: point in bpts' dimension}, or
-    None when some vertex finds no place.
+    margins, twins split them in vertex order. These forced vertices are
+    placed as their group is reached, so a failing one ends the call before
+    any later group is looked at. Then, in vertex order, every other vertex
+    is sampled on its complementary sphere (_sphere_sample), and one with an
+    empty neighborhood far from the cluster, up to 200 draws each. Each
+    point must keep _WORKING_SEP from and _SAMPLE_MARGIN off unit distance
+    to its non-neighbors in bpts and to everything placed before it. Returns
+    {v: point in bpts' dimension}, or None when some vertex finds no place
+    or some neighborhood spans R^dim.
     """
     m, dim = bpts.shape
     placed: dict = {}
@@ -417,7 +473,6 @@ def place_on_spheres(nbhds: dict, bpts: np.ndarray,
     groups: dict = {}
     for v in sorted(nbhds):
         groups.setdefault(nbhds[v], []).append(v)
-    forced = []
     sampled = []
     for nb, verts in sorted(groups.items(), key=lambda kv: kv[1]):
         if not nb:
@@ -427,38 +482,38 @@ def place_on_spheres(nbhds: dict, bpts: np.ndarray,
         if ms.radius >= 1.0 - 1e-9:
             if len(verts) > 1:
                 return None
-            forced.append((verts[0], [ms.center]))
-            continue
-        comp = complementary_sphere(ms, dim)
-        if len(comp.basis) != 1:
-            sampled.extend((v, comp) for v in verts)
-            continue
-        u = comp.basis[0]
-        poles = [comp.center + comp.radius * u, comp.center - comp.radius * u]
-        if len(verts) > 2:
-            return None
-        if len(verts) == 2:
-            forced.extend([(verts[0], poles[:1]), (verts[1], poles[1:])])
+            choices = [[ms.center]]
         else:
-            forced.append((verts[0], poles))
-
-    for v, candidates in forced:
-        others = surroundings(v)
-        y = next((c for c in candidates if _margins_ok(c, others)), None)
-        if y is None:
-            return None
-        placed[v] = y
+            try:
+                comp = complementary_sphere(ms, dim)
+            except ValueError:  # the neighborhood spans R^dim
+                return None
+            if len(comp.basis) != 1:
+                sampled.extend((v, comp) for v in verts)
+                continue
+            if len(verts) > 2:
+                return None
+            u = comp.basis[0]
+            poles = [comp.center + comp.radius * u, comp.center - comp.radius * u]
+            choices = [poles] if len(verts) == 1 else [poles[:1], poles[1:]]
+        for v, candidates in zip(verts, choices):
+            others = surroundings(v)
+            y = next((c for c in candidates if _margins_ok(c, others)), None)
+            if y is None:
+                return None
+            placed[v] = y
 
     far = (bpts.mean(axis=0) if m else np.zeros(dim)) + 3.0 * np.eye(dim)[0]
     for v, comp in sorted(sampled, key=lambda vc: vc[0]):
         others = surroundings(v)
-        for _ in range(200):
-            y = far + _ball_sample(0.3, dim, rng) if comp is None else sphere_point(comp, rng)
-            if _margins_ok(y, others):
-                placed[v] = y
-                break
+        if comp is not None:
+            y = _sphere_sample(comp, others, rng)
         else:
+            draws = (far + _ball_sample(0.3, dim, rng) for _ in range(200))
+            y = next((y for y in draws if _margins_ok(y, others)), None)
+        if y is None:
             return None
+        placed[v] = y
     return placed
 
 

@@ -139,13 +139,17 @@ def complementary_sphere(s: Sphere, ambient_dim: int) -> Sphere:
     For |x - p| = 1 to hold for all p on s, x must sit over the center in the
     orthogonal complement of s's flat, at height sqrt(1 - r^2). The result is
     the sphere with the same center, radius sqrt(1 - r^2), spanning that
-    complement: dimension ambient_dim - dim(s) - 2.
+    complement: dimension ambient_dim - len(s.basis) - 1. The set is empty,
+    and ValueError is raised, when r >= 1 or when s's flat is all of
+    R^ambient_dim.
     """
     if len(s.center) != ambient_dim:
         raise ValueError("sphere does not live in the requested ambient space")
     if s.radius >= 1.0:
         raise ValueError("complementary sphere requires radius < 1")
     k = len(s.basis)
+    if k == ambient_dim:
+        raise ValueError("a sphere spanning the ambient space has no complementary sphere")
     comp = np.linalg.svd(s.basis, full_matrices=True)[2][k:] if k else np.eye(ambient_dim)
     return Sphere(s.center, math.sqrt(1.0 - s.radius**2), comp)
 

@@ -14,21 +14,28 @@ from udgraph.embed import (
     HSystem,
     PreconditionError,
     RealizationError,
+    check_bipartite_preconditions,
     embed_bipartite_faithful,
     embed_colorable,
     embed_singleton_coloring,
     embedding_from_json,
     growth_dimension,
+    place_on_spheres,
     realize_hsystem,
     _b_cluster_ok,
+    _ball_sample,
     _cap_sample,
     _conditions_hold,
+    _margins_ok,
     _sample_b_cluster,
     _subset_blocks,
 )
+from udgraph.audit import _offset, _sides
 from udgraph.geometry import (
     affine_rank,
+    complementary_sphere,
     minimal_sphere,
+    sphere_point,
 )
 from udgraph.graphs import (
     Graph,
@@ -37,6 +44,8 @@ from udgraph.graphs import (
     make_complete_multipartite,
     make_kprime,
     make_petersen,
+    make_remark_graph,
+    neighborhoods_in,
 )
 from udgraph.verify import verify
 
@@ -299,6 +308,176 @@ def test_bipartite_faithful_edgeless_graph():
     emb = embed_bipartite_faithful(g, 2, seed=0)
     assert emb.points.shape == (3, 2)
     assert verify(g, emb, mode="faithful", tol=1e-7).passed
+
+
+# ---------------------------------------------------------------------------
+# sphere placement
+
+
+def _place_on_spheres_reference(nbhds, bpts, rng, draws=None):
+    """place_on_spheres with one draw at a time and forced vertices placed
+    after every group is read; draws, when given, collects the draw count of
+    each vertex sampled on a sphere (201 for one that found no place)."""
+    m, dim = bpts.shape
+    placed: dict = {}
+
+    def surroundings(v) -> np.ndarray:
+        rows = [bpts[i] for i in range(m) if i not in nbhds[v]] + list(placed.values())
+        return np.asarray(rows).reshape(len(rows), dim)
+
+    groups: dict = {}
+    for v in sorted(nbhds):
+        groups.setdefault(nbhds[v], []).append(v)
+    forced = []
+    sampled = []
+    for nb, verts in sorted(groups.items(), key=lambda kv: kv[1]):
+        if not nb:
+            sampled.extend((v, None) for v in verts)
+            continue
+        ms = minimal_sphere(bpts[sorted(nb)])
+        if ms.radius >= 1.0 - 1e-9:
+            if len(verts) > 1:
+                return None
+            forced.append((verts[0], [ms.center]))
+            continue
+        comp = complementary_sphere(ms, dim)
+        if len(comp.basis) != 1:
+            sampled.extend((v, comp) for v in verts)
+            continue
+        u = comp.basis[0]
+        poles = [comp.center + comp.radius * u, comp.center - comp.radius * u]
+        if len(verts) > 2:
+            return None
+        if len(verts) == 2:
+            forced.extend([(verts[0], poles[:1]), (verts[1], poles[1:])])
+        else:
+            forced.append((verts[0], poles))
+
+    for v, candidates in forced:
+        others = surroundings(v)
+        y = next((c for c in candidates if _margins_ok(c, others)), None)
+        if y is None:
+            return None
+        placed[v] = y
+
+    far = (bpts.mean(axis=0) if m else np.zeros(dim)) + 3.0 * np.eye(dim)[0]
+    for v, comp in sorted(sampled, key=lambda vc: vc[0]):
+        others = surroundings(v)
+        for t in range(200):
+            y = far + _ball_sample(0.3, dim, rng) if comp is None else sphere_point(comp, rng)
+            if _margins_ok(y, others):
+                placed[v] = y
+                if comp is not None and draws is not None:
+                    draws.append(t + 1)
+                break
+        else:
+            if comp is not None and draws is not None:
+                draws.append(201)
+            return None
+    return placed
+
+
+def _random_audit_graph(rng):
+    """4..8 A vertices over 4..7 B vertices, the first 1..3 of full degree,
+    the others on random proper subsets of B."""
+    na, nb, nfull = (int(rng.integers(lo, hi)) for lo, hi in ((4, 9), (4, 8), (1, 4)))
+    edges = []
+    for a in range(na):
+        nbhd = range(nb) if a < nfull else rng.choice(nb, size=int(rng.integers(0, nb)),
+                                                       replace=False)
+        edges.extend((a, na + int(b)) for b in nbhd)
+    return Graph(na + nb, edges, bipartition_a=frozenset(range(na)))
+
+
+def _placement_cases():
+    """(nbhds, bpts, rng seed) triples: the audit sides of kprime(4..10),
+    remark(1..5) and 60 random audit graphs, realized as _construct_side
+    does, and the B clusters of seeded criterion-2 graphs (12 + 8 vertices
+    in R^4) that pass _b_cluster_ok."""
+    rng = np.random.default_rng(5)
+    graphs = ([make_kprime(d) for d in range(4, 11)] + [make_remark_graph(d) for d in range(1, 6)]
+              + [_random_audit_graph(rng) for _ in range(60)])
+    for g in graphs:
+        for seed, side in enumerate(_sides(g)):
+            k = growth_dimension(side.h.sizes)
+            d_up = k + _offset(side.h.s)
+            r = 1.0 if side.h.s == 1 else 0.3
+            for attempt in range(3):
+                try:
+                    _, unit_pts = realize_hsystem(side.h, eps=0.2, seed=seed * 1009 + attempt)
+                except RealizationError:
+                    continue
+                bpts = np.pad(r * unit_pts, ((0, 0), (0, d_up - unit_pts.shape[1])))
+                yield side.nbhds, bpts, [seed, attempt, 77]
+    for i in range(30):
+        rng = np.random.default_rng([977, i])
+        edges = [(a, 12 + int(b)) for a in range(12)
+                 for b in rng.choice(8, size=int(rng.integers(1, 5)), replace=False)]
+        try:
+            side_a, side_b = check_bipartite_preconditions(Graph(20, edges), 4)
+        except PreconditionError:
+            continue
+        nbhds = neighborhoods_in(Graph(20, edges), side_a, side_b)
+        for attempt in range(3):
+            rng = np.random.default_rng([i, attempt])
+            bpts = _sample_b_cluster(len(side_b), 4, rng)
+            if _b_cluster_ok(bpts, 4):
+                yield nbhds, bpts, [i, attempt, 1]
+
+
+def test_place_on_spheres_matches_loop_reference():
+    # the batched screen keeps the one-draw-at-a-time loop's points, verdicts
+    # and rng stream bit for bit, after a failure as after a success
+    draws: list = []
+    for nbhds, bpts, seed in _placement_cases():
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = place_on_spheres(nbhds, bpts, rng)
+        want = _place_on_spheres_reference(nbhds, bpts, ref_rng, draws)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert list(got) == list(want)
+            assert all(np.array_equal(got[v], want[v]) for v in want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # the cases reach past the first chunks and exhaust the whole budget
+    assert any(10 < t <= 200 for t in draws)
+    assert 201 in draws
+
+
+def test_place_on_spheres_rejects_a_neighborhood_spanning_the_space():
+    # three points on a radius-0.5 circle span R^2: nothing is at unit
+    # distance from all three
+    t = np.array([0.0, 2.0, 4.0]) * np.pi / 3.0
+    bpts = 0.5 * np.stack([np.cos(t), np.sin(t)], axis=1)
+    assert place_on_spheres({0: frozenset({0, 1, 2})}, bpts, np.random.default_rng(0)) is None
+
+
+def test_place_on_spheres_structural_failures():
+    rng = np.random.default_rng(0)
+    # twins on a radius-1 neighborhood: one center for two vertices
+    bpts = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    both = frozenset({0, 1})
+    assert place_on_spheres({0: both, 1: both}, bpts, rng) is None
+    # three vertices on a zero-dimensional complementary sphere: two poles
+    bpts = np.array([[-0.5, 0.0], [0.5, 0.0]])
+    assert place_on_spheres({0: both, 1: both, 2: both}, bpts, rng) is None
+    assert place_on_spheres({0: both, 1: both}, bpts, rng) is not None
+
+
+def test_failing_forced_pole_ends_placement_before_later_groups():
+    # vertex 0's poles (0, +-h) are blocked: +h by point 2 on it, -h by
+    # point 3 at unit distance; vertex 1's neighborhood {2, 3, 4} is
+    # collinear, so its minimal sphere raises, but it is never reached
+    h = np.sqrt(0.75)
+    bpts = np.array([[-0.5, 0.0], [0.5, 0.0], [0.0, h], [0.0, 1.0 - h], [0.0, 0.5]])
+    nbhds = {0: frozenset({0, 1}), 1: frozenset({2, 3, 4})}
+    with pytest.raises(ValueError):
+        minimal_sphere(bpts[[2, 3, 4]])
+    assert place_on_spheres(nbhds, bpts, np.random.default_rng(0)) is None
+    # no rng is consumed on the way
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    place_on_spheres(nbhds, bpts, rng)
+    assert rng.bit_generator.state == state
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,24 @@ def test_complementary_sphere_rejects_too_large():
         complementary_sphere(base, 2)
 
 
+def test_complementary_sphere_rejects_full_dimensional():
+    # a circle spanning R^2 and a point in R^0 leave nothing at unit
+    # distance from all of their points
+    t = np.array([0.0, 2.0, 4.0]) * np.pi / 3.0
+    circle = minimal_sphere(0.5 * np.stack([np.cos(t), np.sin(t)], axis=1))
+    assert len(circle.basis) == 2
+    with pytest.raises(ValueError):
+        complementary_sphere(circle, 2)
+    with pytest.raises(ValueError):
+        complementary_sphere(minimal_sphere(np.zeros((1, 0))), 0)
+    # the same circle inside R^3 keeps its axis: two poles at height sqrt(3)/2
+    lifted = minimal_sphere(np.pad(circle.center + 0.5 * np.stack(
+        [np.cos(t), np.sin(t)], axis=1), ((0, 0), (0, 1))))
+    comp = complementary_sphere(lifted, 3)
+    assert len(comp.basis) == 1
+    assert comp.radius == pytest.approx(np.sqrt(0.75), abs=1e-12)
+
+
 def test_sphere_point_lands_on_sphere_deterministically():
     base = minimal_sphere([[0.1, 0.2, 0.0], [0.3, -0.1, 0.2], [0.0, 0.0, 0.4]])
     comp = complementary_sphere(base, 3)
