@@ -13,7 +13,9 @@ below. These rules are deliberately incomplete; UNDECIDED is an honest verdict.
 
 The upper-bound side realizes the H-system on a sphere (realize_hsystem),
 scales it, and places the A vertices on complementary spheres, producing a
-verified witness embedding whenever the numbers cooperate. An edgeless graph
+verified witness embedding whenever the numbers cooperate. On K'_d (d = 3..10),
+K''_d (d = 3..8) and the remark graphs (d = 3..5) it does so at d + 1, one
+dimension above the refutation. An edgeless graph
 the construction does not reach (it never builds in fewer than two
 dimensions) is placed on the line, where distinct points realize it.
 

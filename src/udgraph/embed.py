@@ -240,7 +240,9 @@ def growth_dimension(sizes) -> int:
 
 
 def _cap_sample(m: int, k: int, spread: float, rng: np.random.Generator) -> np.ndarray:
-    """m distinct points on the unit S^k in a cap of chordal diameter <= spread."""
+    """m distinct points on the unit S^k, offset from the pole e_0 by a cube
+    of side spread; radial projection shortens chords, so the cap's chordal
+    diameter is at most spread * sqrt(k), and spread on the circle."""
     min_sep = max(spread / (50.0 * max(m, 1)), 10.0 * TOL_DISTINCT)
     for _ in range(64):
         offsets = rng.uniform(-spread / 2.0, spread / 2.0, size=(m, k))
@@ -284,11 +286,16 @@ def realize_hsystem(h: HSystem, eps: float = 0.01, seed: int = 0):
     size order. A condition of size at most k+1 is satisfiable in general
     position, so the whole cloud is resampled as a flat cap and rechecked.
     A larger condition forces k to grow by one: a fresh coordinate is added
-    and every point is rotated into it by eps * 2^(-l-4) at the 1-based step
-    index l, positively for members of the condition and negatively for the
-    rest, which parks the members on a hyperplane the others provably avoid.
-    The angles sum to eps/16, inside the eps/4 budget, so the cloud stays
-    eps-flat. Returns (k, points) with points of shape (m, k+1); k never
+    and every point is rotated into it by the angle phi, positively for
+    members of the condition and negatively for the rest, which parks the
+    members on a hyperplane the others provably avoid. growth_dimension
+    fixes the number of growth steps in advance, so every step uses the same
+    phi = eps / (4 * steps) and the angles sum to eps/4. The cap on the
+    circle has chordal diameter at most eps/2 and each step moves two points
+    apart by at most 2 * phi, so the cloud's chordal diameter stays within
+    eps/2 + 2 * eps/4 = eps. (A resample after a growth step draws its cap
+    on S^k, up to (eps/2) * sqrt(k) across, and only the later steps add to
+    that.) Returns (k, points) with points of shape (m, k+1); k never
     exceeds the subsequence guarantee s+1 of lemedge2_guarantee.
     """
     if h.m == 0:
@@ -305,11 +312,11 @@ def realize_hsystem(h: HSystem, eps: float = 0.01, seed: int = 0):
 
 def _realize_once(h: HSystem, eps: float, rng: np.random.Generator):
     k = 1
+    phi = eps / (4.0 * max(growth_dimension(h.sizes) - 1, 1))
     pts = _cap_sample(h.m, k, eps / 2.0, rng)
     for l, H in enumerate(h.conditions, start=1):
         if len(H) >= k + 2:
             k += 1
-            phi = eps * 2.0 ** (-l - 4)
             signs = np.array([1.0 if i in H else -1.0 for i in range(h.m)])
             pts = np.hstack([math.cos(phi) * pts, math.sin(phi) * signs[:, None]])
             if not _conditions_hold(pts, h.conditions, l):

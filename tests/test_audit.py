@@ -19,7 +19,7 @@ from udgraph.audit import (
     lemedge_bound,
 )
 from udgraph.census import _canonical_masks, _graph_of_mask
-from udgraph.embed import HSystem
+from udgraph.embed import MARGIN_NONEDGE, HSystem
 from udgraph.graphs import (
     Graph,
     make_complete,
@@ -29,7 +29,7 @@ from udgraph.graphs import (
     make_remark_graph,
 )
 from udgraph.solver import SolverConfig, solve_faithful
-from udgraph.verify import verify
+from udgraph.verify import classify_pairs, verify
 
 
 def test_lemedge_bound_values():
@@ -211,13 +211,73 @@ def test_audit_never_refutes_path_on_line():
     assert faithful_dim_audit(p5, 2).verdict == "REALIZABLE"
 
 
-def test_audit_undecided_is_honest_on_tight_remark_case():
-    # bounds meet (k_lower = k_upper = d) but the witness construction
-    # works at second-order margins there; the audit must abstain rather
-    # than claim either verdict
-    r = faithful_dim_audit(make_remark_graph(3), 4)
-    assert r.verdict == "UNDECIDED"
+def _assert_verified_witness(g, r, d):
+    """r carries a witness in R^d that verifies faithfully at 1e-7 with every
+    non-edge MARGIN_NONEDGE clear of unit length."""
+    assert r.verdict == "REALIZABLE" and r.embedding.dim == d
+    assert verify(g, r.embedding, mode="faithful", tol=1e-7).passed
+    p = classify_pairs(g, r.embedding.points)
+    assert p.dev[~p.edge].min(initial=np.inf) >= MARGIN_NONEDGE
+
+
+def test_audit_realizes_tight_remark_case():
+    # bounds meet (k_lower = k_upper = 3) one dimension above the refutation,
+    # and the construction's witness clears every non-edge margin there
+    g = make_remark_graph(3)
+    r = faithful_dim_audit(g, 4)
     assert r.k_lower == r.k_upper == 3
+    _assert_verified_witness(g, r, 4)
+
+
+def test_audit_undecided_is_honest_where_the_construction_falls_short():
+    # A = 0..4 over B = 5..9: vertex 0 is full, 1 and 4 are twins on {8, 9}
+    # and 3 is isolated. The A side builds in the plane, where 0, 1 and 4
+    # cannot all be at unit distance from both 8 and 9, and the B side needs
+    # R^4. The solver finds a faithful witness in R^3, so the audit must
+    # abstain there rather than refute, and it realizes the graph in R^4.
+    edges = [(0, 5), (0, 6), (0, 7), (0, 8), (0, 9), (1, 8), (1, 9), (2, 8), (4, 8), (4, 9)]
+    g = Graph(10, edges, bipartition_a=frozenset(range(5)))
+    r = faithful_dim_audit(g, 3)
+    assert r.verdict == "UNDECIDED" and r.embedding is None
+    assert r.k_lower == r.k_upper == 1
+    assert "construction" not in [rule["rule"] for rule in r.rule_chain]
+    found = solve_faithful(g, 3, SolverConfig(seed=0, restarts=20))
+    assert verify(g, found.embedding, mode="faithful", tol=1e-7).passed
+    _assert_verified_witness(g, faithful_dim_audit(g, 4), 4)
+
+
+def _refutation_chain(m, s):
+    """The rule chain that refutes K'_d, K''_d (m = d, s = 3) and the remark
+    graph (m = d + 2, s = 1) in R^d: the chain through all m ground points
+    bounds k from below by m - 2, and s full-degree vertices add their offset."""
+    k = max(m - 2, 1)
+    chain = [{"rule": "R1", "params": {"side": "A", "m": m}}]
+    if m >= 4:
+        chain.append({"rule": "R2_chain",
+                      "params": {"side": "A", "chain": list(range(m)), "length": m}})
+    offset = min(s, 3)
+    chain.append({"rule": "s_offset", "params": {
+        "side": "A", "s": s, "offset": offset, "required_d": k + offset}})
+    return chain
+
+
+def test_audit_sweep_refutes_at_d_and_realizes_at_d_plus_one():
+    # the 34-point sweep: kprime(3..10), kdoubleprime(3..8) and remark(3..5),
+    # each at d and d + 1
+    sweep = ([(make_kprime(d), d, d, 3) for d in range(3, 11)]
+             + [(make_kdoubleprime(d), d, d, 3) for d in range(3, 9)]
+             + [(make_remark_graph(d), d, d + 2, 1) for d in range(3, 6)])
+    undecided = []
+    for g, d, m, s in sweep:
+        r = faithful_dim_audit(g, d)
+        assert r.verdict == "NOT_REALIZABLE", (g.n, d)
+        assert [dict(rule) for rule in r.rule_chain] == _refutation_chain(m, s)
+        r = faithful_dim_audit(g, d + 1)
+        if r.verdict == "UNDECIDED":
+            undecided.append((g.n, d + 1))
+        else:
+            _assert_verified_witness(g, r, d + 1)
+    assert len(undecided) <= 3, undecided
 
 
 def test_audit_rejects_nonbipartite():

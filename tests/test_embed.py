@@ -206,6 +206,10 @@ def test_realize_dimension_never_exceeds_guarantee(h, seed):
         assert k <= k_ok
         assert pts.shape == (h.m, k + 1)
         np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-9)
+        # eps-flat: with at most three conditions a resample after a growth
+        # step is on S^2 with one step after it, (eps/2) * sqrt(2) + eps/4
+        # across, or on S^3 with none, (eps/2) * sqrt(3)
+        assert np.linalg.norm(pts[:, None] - pts[None], axis=2).max() <= eps
 
 
 def test_realize_conditions_hold_as_rank_statements():
