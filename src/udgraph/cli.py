@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 import numpy as np
@@ -133,7 +132,7 @@ def _cmd_realize(args) -> int:
                     f"coloring construction needs dimension {emb.dim}, got --dim {args.dim}"
                 )
             if args.dim > emb.dim:
-                emb = _pad_embedding(emb, args.dim)
+                emb = Embedding(args.dim, np.pad(emb.points, ((0, 0), (0, args.dim - emb.dim))))
     elif args.method == "bipartite":
         if args.dim is None:
             raise ValueError("--dim is required for method bipartite")
@@ -151,12 +150,6 @@ def _cmd_realize(args) -> int:
         _write_text(args.output, emb.to_json())
     sys.stdout.write(_combined_doc(g, emb) + "\n")
     return 0
-
-
-def _pad_embedding(emb: Embedding, dim: int) -> Embedding:
-    pts = np.zeros((emb.points.shape[0], dim))
-    pts[:, : emb.dim] = emb.points
-    return Embedding(dim, pts)
 
 
 def _cmd_verify(args) -> int:
@@ -298,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--semantics", choices=["faithful", "distance"], default="faithful")
     p.add_argument("--exact-only", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=None)  # None: UDG_JOBS
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--csv", default=None, help="also dump per-graph rows to this CSV file")
     p.set_defaults(func=_cmd_census)
 
@@ -322,22 +315,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _env_jobs() -> int:
-    """census --jobs when the option is absent: UDG_JOBS, or 1 when unset."""
-    jobs_env = os.environ.get("UDG_JOBS", "1")
-    try:
-        return int(jobs_env)
-    except ValueError:
-        raise ValueError(f"UDG_JOBS must be an integer, got {jobs_env!r}") from None
-
-
 def main(argv=None) -> int:
     try:
-        # read on every call, before parsing, so a malformed value exits 2 under any usage
-        env_jobs = _env_jobs()
         args = _build_parser().parse_args(argv)
-        if args.command == "census" and args.jobs is None:
-            args.jobs = env_jobs
         return args.func(args)
     except (PreconditionError, RealizationError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"udgraph: error: {exc}", file=sys.stderr)

@@ -43,7 +43,7 @@ from .graphs import Graph, bipartition_of, greedy_coloring, neighborhoods_in
 from .verify import accepts, classify_pairs, finite_points, verify  # noqa: F401
 
 MARGIN_NONEDGE = 1e-4  # guaranteed non-edge clearance from unit length
-TOL_DISTINCT = 1e-6  # minimum pairwise separation in a valid embedding
+TOL_DISTINCT = 1e-6  # the constructions' accept-gate separation (verify.accepts)
 B_DIAMETER = 0.1  # diameter of the sampled B-side cluster
 
 _SAMPLE_MARGIN = 2.5e-4  # rejection threshold, headroom over MARGIN_NONEDGE
@@ -65,6 +65,8 @@ class RealizationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Embedding:
+    """n finite points in R^dim; whether they are distinct is verify's call."""
+
     dim: int
     points: np.ndarray
 
@@ -72,12 +74,6 @@ class Embedding:
         pts = finite_points(self.points)
         if pts.shape[1] != self.dim:
             raise ValueError(f"points are {pts.shape[1]}-dimensional, dim says {self.dim}")
-        p = classify_pairs(None, pts)
-        if p.dist.size and p.dist.min() <= TOL_DISTINCT:
-            k = int(p.dist.argmin())
-            raise ValueError(
-                f"points {p.i[k]} and {p.j[k]} are not distinct (distance {p.dist[k]:.3e})"
-            )
         object.__setattr__(self, "points", pts)
 
     @property
@@ -336,8 +332,6 @@ def _realize_once(h: HSystem, eps: float, rng: np.random.Generator):
 
 
 def _ball_sample(radius: float, dim: int, rng: np.random.Generator) -> np.ndarray:
-    if dim == 0:
-        return np.zeros(0)
     g = rng.normal(size=dim)
     norm = np.linalg.norm(g)
     while norm < 1e-12:
@@ -350,11 +344,8 @@ def _sample_b_cluster(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """B-side cluster: diameter <= B_DIAMETER, flattened against a hyperplane."""
     pts = np.zeros((m, d))
     for j in range(m):
-        if d == 1:
-            pts[j, 0] = rng.uniform(-0.045, 0.045)
-        else:
-            pts[j, : d - 1] = _ball_sample(0.045, d - 1, rng)
-            pts[j, d - 1] = rng.uniform(-0.0045, 0.0045)
+        pts[j, : d - 1] = _ball_sample(0.045, d - 1, rng)
+        pts[j, d - 1] = rng.uniform(-0.0045, 0.0045)
     return pts
 
 

@@ -50,9 +50,9 @@ def _upper(n: int) -> tuple:
 def classify_pairs(g: Graph | None, points) -> Pairs:
     """Distances, edge mask and unit deviations of every vertex pair.
 
-    The one pair classifier of the package: verification, the accept gate,
-    the constructions' sampling checks and Embedding's distinctness check all
-    read their pairs from this table. g None means a graph without edges.
+    The one pair classifier of the package: verification, the accept gate
+    and the constructions' sampling checks all read their pairs from this
+    table. g None means a graph without edges.
     """
     pts = as_points(points)
     n = pts.shape[0]

@@ -98,8 +98,9 @@ def test_embed_singleton_two_singletons_distance():
 
 
 def test_embedding_validation_and_json():
-    with pytest.raises(ValueError):
-        Embedding(2, np.zeros((2, 2)))  # coincident points
+    # coincident points are verify's to judge: Embedding holds them as given
+    twin = Embedding(2, np.zeros((2, 2)))
+    assert embedding_from_json(twin.to_json()).to_json() == twin.to_json()
     emb = Embedding(2, np.array([[0.0, 0.0], [1.0, 0.0]]))
     text = emb.to_json()
     back = embedding_from_json(text)
