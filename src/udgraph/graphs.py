@@ -1,4 +1,4 @@
-"""Labelled graphs with an optional bipartition, generators, coloring, girth.
+"""Labelled graphs with an optional bipartition, generators and coloring.
 
 Vertices are 0..n-1. Edges are stored as a frozenset of (u, v) pairs with
 u < v; serialization sorts them lexicographically. The bipartition, when
@@ -9,7 +9,6 @@ faithful embedding construction constrains).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -193,7 +192,7 @@ def make_remark_graph(d: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# coloring, girth, bipartition
+# coloring, bipartition
 
 
 def greedy_coloring(g: Graph) -> list:
@@ -256,36 +255,6 @@ def exact_coloring(g: Graph) -> list:
         if classes is not None:
             return classes
     raise AssertionError("unreachable: n colors always suffice")
-
-
-def exact_chromatic_small(g: Graph) -> int:
-    return len(exact_coloring(g))
-
-
-def girth(g: Graph):
-    """Length of a shortest cycle, math.inf for forests.
-
-    BFS from every vertex; a non-tree edge between visited vertices closes a
-    cycle of length dist[u] + dist[w] + 1 through the root.
-    """
-    adj = g.adjacency()
-    best = math.inf
-    for root in range(g.n):
-        dist = {root: 0}
-        parent = {root: -1}
-        queue = [root]
-        while queue:
-            nxt = []
-            for u in queue:
-                for w in adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
-                        nxt.append(w)
-                    elif w != parent[u]:
-                        best = min(best, dist[u] + dist[w] + 1)
-            queue = nxt
-    return best
 
 
 def bipartition_of(g: Graph) -> tuple:

@@ -1,18 +1,19 @@
 """Batched multistart solver for unit-distance realizations.
 
-The objective is the quartic penalty F(X) = sum over edges of
-(|x_i - x_j|^2 - 1)^2. Restart r starts from INIT_SCALE times a normal draw
+The objective is F(X) = sum over edges of p_e^2, with the edge residuals
+p_e = |x_i - x_j|^2 - 1. Restart r starts from INIT_SCALE times a normal draw
 of default_rng([seed, r]), and restarts run in chunks of 1, 2, 4, ... up to
 _CHUNK as one batch of shape (c, n, d). With B the n x m edge-incidence
-matrix, the edge differences of the whole batch are B^T X and the gradient
-scatter is B W. Each restart keeps its own Armijo step, stall test and
-iteration count, so it follows the trajectory it would follow alone.
+matrix, the edge differences of the whole batch are B^T X, and the Jacobian J
+of the residuals is read off them.
 
-A restart whose residual falls below _GN_SWITCH leaves the batch for a
-Gauss-Newton finish (Nocedal & Wright, Numerical Optimization, ch. 10):
-damped minimum-norm least-squares steps on the edge system J delta = -p,
-falling back to a descent step when such a step does not lower F. Every
-accepted candidate is finished this way. A candidate with a residual within
+Every restart runs Levenberg-Marquardt from its first step (Levenberg 1944,
+Marquardt 1963; Nocedal & Wright, Numerical Optimization, ch. 10): it solves
+(J^T J + lambda I) delta = -J^T p, takes the step only when F drops, and
+keeps its own damping lambda and iteration count, so it follows the
+trajectory it would follow alone. A restart runs until F stops dropping:
+stopping at TOL_RESIDUAL would leave edges up to about 5e-7 off unit length,
+and the gate refuses such a candidate. A candidate with a residual within
 TOL_RESIDUAL then meets verify.accepts: points more than MIN_SEPARATION
 apart, every edge within TOL_VERIFY of unit length (the tolerance `udgraph
 verify` publishes) and, for faithful solves, every non-edge MARGIN_NONEDGE
@@ -33,21 +34,18 @@ from .embed import Embedding
 from .graphs import Graph
 from .verify import accepts
 
-_ARMIJO_C = 1e-4
-_STALL_STEP = 1e-18
-_FLAT_GRADIENT = 1e-24  # squared gradient norm at which a descent stops
 _CHUNK = 32  # largest number of restarts run as one batch
-_GN_SWITCH = 1e-6  # residual below which a restart takes Gauss-Newton steps
-_GN_STEPS = 30  # Gauss-Newton (or fallback descent) steps of one finish
-_GN_HALVINGS = 4  # damped trials of one Gauss-Newton step
+_LAMBDA0 = 10.0  # first damping: undamped first steps fold paths onto themselves
+_LAMBDA_MIN = 1e-12
+_LAMBDA_MAX = 1e12  # damping at which a restart counts as stalled
 
 TOL_RESIDUAL = 1e-12  # largest F of an accepted candidate
 MARGIN_NONEDGE = 1e-3  # non-edge clearance from unit length, faithful solves
 # accept-gate separation between points. Must sit well above the point drift
 # of a finished candidate, or a pair of vertices forced onto the same spot by
 # the constraints can masquerade as two "distinct" points and fake a
-# realization. After the Gauss-Newton finish such pairs sit at most about
-# 3e-14 apart on the 4- and 5-vertex census graphs.
+# realization. Once the iteration has converged, such pairs sit at most about
+# 3e-14 apart on the 4- and 5-vertex census graphs in R^2 and R^3.
 MIN_SEPARATION = 1e-3
 INIT_SCALE = 2.0  # standard deviation of a restart's starting coordinates
 
@@ -77,15 +75,15 @@ class SolveResult:
         }
 
 
-def _incidence(g: Graph):
-    """(B^T, B): B^T has a row per edge (i, j) with +1 at i and -1 at j."""
+def _incidence(g: Graph) -> np.ndarray:
+    """B^T: a row per edge (i, j) with +1 at i and -1 at j."""
     bt = np.zeros((g.m, g.n))
     if g.m:
         e = np.asarray(g.sorted_edges())
         rows = np.arange(g.m)
         bt[rows, e[:, 0]] = 1.0
         bt[rows, e[:, 1]] = -1.0
-    return bt, np.ascontiguousarray(bt.T)
+    return bt
 
 
 def _residuals(x, bt):
@@ -95,118 +93,64 @@ def _residuals(x, bt):
     return diff, p, np.einsum("...i,...i->...", p, p)
 
 
-def _gradient(b, diff, p):
-    return b @ ((4.0 * p)[..., None] * diff)
+def _jacobian(diff, bt):
+    """Jacobian (c, m, n*d) of the residuals p with respect to the points."""
+    c, m, d = diff.shape
+    return 2.0 * (bt[:, :, None] * diff[:, :, None, :]).reshape(c, m, bt.shape[1] * d)
 
 
 def objective(g: Graph, points: np.ndarray) -> float:
-    return float(_residuals(np.asarray(points, dtype=float)[None], _incidence(g)[0])[2][0])
+    return float(_residuals(np.asarray(points, dtype=float)[None], _incidence(g))[2][0])
 
 
 def gradient(g: Graph, points: np.ndarray) -> np.ndarray:
-    bt, b = _incidence(g)
-    diff, p, _ = _residuals(np.asarray(points, dtype=float)[None], bt)
-    return _gradient(b, diff, p)[0]
+    """The gradient 2 J^T p of F, through the Jacobian the solver steps with."""
+    x = np.asarray(points, dtype=float)[None]
+    bt = _incidence(g)
+    diff, p, _ = _residuals(x, bt)
+    return (2.0 * p[:, None, :] @ _jacobian(diff, bt)).reshape(x.shape)[0]
 
 
-def _descent_step(x, diff, p, f, step, bt, b):
-    """One Armijo-backtracked gradient step for every restart of a batch.
-
-    Returns the trial batch (x, diff, p, f), the accepted steps and a done
-    mask. A done restart (vanishing gradient, or a step below _STALL_STEP)
-    keeps its old point; its trial entries are meaningless.
-    """
-    grad = _gradient(b, diff, p)
-    flat = grad.reshape(grad.shape[0], -1)
-    gg = np.einsum("...i,...i->...", flat, flat)
-    done = gg <= _FLAT_GRADIENT
-    cgg = _ARMIJO_C * gg
-    t = np.minimum(2.0 * step, 1.0)
-    todo = ~done
-    while True:
-        # restarts that met the Armijo condition keep t, so recomputing their
-        # trial point reproduces it bit for bit
-        xn = x - t[:, None, None] * grad
-        dn, pn, fn = _residuals(xn, bt)
-        todo &= ~(fn <= f - t * cgg)
-        if not np.count_nonzero(todo):
-            break
-        t = np.where(todo, 0.5 * t, t)
-        # only this step's halvings can take t below the stall step
-        stalled = t < _STALL_STEP
-        if np.count_nonzero(stalled):
-            done |= stalled
-            todo &= ~stalled
-            if not np.count_nonzero(todo):
-                break
-    return xn, dn, pn, fn, t, done
-
-
-def _finish(x, diff, p, f, step, bt, b):
-    """Gauss-Newton finish of one restart, given as a batch of one.
-
-    A step solves J delta = -p in the minimum-norm least-squares sense and
-    is halved up to _GN_HALVINGS times until F drops. When it never drops,
-    the finish ends if F is within TOL_RESIDUAL and takes a descent step
-    otherwise. Returns (point, F).
-    """
-    m, n = bt.shape
-    for _ in range(_GN_STEPS):
-        if f[0] == 0.0:
-            break
-        jac = 2.0 * (bt[:, :, None] * diff[0][:, None, :]).reshape(m, -1)
-        delta = np.linalg.lstsq(jac, -p[0], rcond=None)[0].reshape(1, n, -1)
-        t = 1.0
-        for _ in range(_GN_HALVINGS):
-            xn = x + t * delta
-            dn, pn, fn = _residuals(xn, bt)
-            if fn[0] < f[0]:
-                break
-            t *= 0.5
-        else:
-            if f[0] <= TOL_RESIDUAL:
-                break
-            xn, dn, pn, fn, step, done = _descent_step(x, diff, p, f, step, bt, b)
-            if done[0]:
-                break
-        x, diff, p, f = xn, dn, pn, fn
-    return x[0], float(f[0])
-
-
-def _run_batch(x, rows, bt, b, cfg: SolverConfig, settle) -> None:
+def _run_batch(x, rows, bt, cfg: SolverConfig, settle) -> None:
     """Run the restarts `rows`, started from the batch x of shape (c, n, d).
 
-    A restart leaves the batch when its residual reaches the Gauss-Newton
-    switch (and is finished), when its descent stalls, or after max_iters
-    iterations. settle(r, point, F) is then called, in restart order among
-    those leaving together, and returns the lowest restart index that can
-    still win; restarts at or above it are dropped.
+    Every iteration takes one Levenberg-Marquardt trial step per restart,
+    solving (J^T J + lambda I) delta = -J^T p. A step that lowers F is taken
+    and divides lambda by 10; any other step is refused and multiplies it by
+    10. A restart leaves the batch when F is 0, when a step is refused while
+    F is within TOL_RESIDUAL (converged to round-off), when lambda reaches
+    _LAMBDA_MAX (stalled), or after max_iters iterations. settle(r, point, F)
+    is then called, in restart order among those leaving together, and
+    returns the lowest restart index that can still win; restarts at or above
+    it are dropped.
     """
     diff, p, f = _residuals(x, bt)
-    step = np.ones(rows.size)
+    lam = np.full(rows.size, _LAMBDA0)
+    out = f == 0.0
+    eye = np.eye(x.shape[1] * x.shape[2])
     for it in range(cfg.max_iters + 1):
-        out = f <= _GN_SWITCH if it < cfg.max_iters else np.ones(rows.size, dtype=bool)
+        if it == cfg.max_iters:
+            out[:] = True
         if np.count_nonzero(out):
             bound = np.inf
             for k in np.flatnonzero(out):
-                xk, fk = x[k], float(f[k])
-                if fk <= _GN_SWITCH:
-                    s = slice(k, k + 1)
-                    xk, fk = _finish(x[s], diff[s], p[s], f[s], step[s], bt, b)
-                bound = settle(int(rows[k]), xk, fk)
+                bound = settle(int(rows[k]), x[k], float(f[k]))
             keep = ~out & (rows < bound)
-            x, diff, p, f, step, rows = (a[keep] for a in (x, diff, p, f, step, rows))
+            x, diff, p, f, lam, rows = (a[keep] for a in (x, diff, p, f, lam, rows))
             if not rows.size:
                 return
-        xn, dn, pn, fn, t, done = _descent_step(x, diff, p, f, step, bt, b)
-        if np.count_nonzero(done):
-            for k in np.flatnonzero(done):
-                settle(int(rows[k]), x[k], float(f[k]))
-            keep = ~done
-            xn, dn, pn, fn, t, rows = (a[keep] for a in (xn, dn, pn, fn, t, rows))
-            if not rows.size:
-                return
-        x, diff, p, f, step = xn, dn, pn, fn, t
+        jac = _jacobian(diff, bt)
+        jt = jac.transpose(0, 2, 1)
+        normal = jt @ jac + lam[:, None, None] * eye
+        xn = x + np.linalg.solve(normal, -(jt @ p[..., None])).reshape(x.shape)
+        dn, pn, fn = _residuals(xn, bt)
+        took = fn < f
+        x = np.where(took[:, None, None], xn, x)
+        diff = np.where(took[:, None, None], dn, diff)
+        p = np.where(took[:, None], pn, p)
+        f = np.where(took, fn, f)
+        lam = np.where(took, np.maximum(lam / 10.0, _LAMBDA_MIN), 10.0 * lam)
+        out = (f == 0.0) | (~took & (f <= TOL_RESIDUAL)) | (lam >= _LAMBDA_MAX)
 
 
 def _solve(g: Graph, d: int, cfg: SolverConfig, faithful: bool) -> SolveResult:
@@ -214,7 +158,7 @@ def _solve(g: Graph, d: int, cfg: SolverConfig, faithful: bool) -> SolveResult:
         raise ValueError("graph must have at least one vertex")
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    bt, b = _incidence(g)
+    bt = _incidence(g)
     final = np.full(cfg.restarts, np.inf)  # each finished restart's residual
     winner, found = cfg.restarts, None  # the lowest accepted restart so far
     margin = MARGIN_NONEDGE if faithful else None
@@ -232,7 +176,7 @@ def _solve(g: Graph, d: int, cfg: SolverConfig, faithful: bool) -> SolveResult:
         start, size = start + rows.size, min(2 * size, _CHUNK)
         x = np.stack([INIT_SCALE * np.random.default_rng([cfg.seed, int(r)]).normal(size=(g.n, d))
                       for r in rows])
-        _run_batch(x, rows, bt, b, cfg, settle)
+        _run_batch(x, rows, bt, cfg, settle)
     if found is None:
         best = float(final.min(initial=np.inf))
         return SolveResult("NOT_FOUND", None, residual=best, best_residual=best,

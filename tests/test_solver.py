@@ -108,8 +108,10 @@ def test_solver_rejects_bad_dimension():
         solve_faithful(make_complete(3), 0)
 
 
-def _serial_descent(x, ei, ej, max_iters, tol_residual=1e-12):
-    """Reference: one restart's gradient descent with Armijo backtracking."""
+def _serial_lm(x, ei, ej, max_iters):
+    """Reference: one restart's Levenberg-Marquardt iteration, run on its own."""
+    n, d = x.shape
+    edges = np.arange(len(ei))
 
     def residuals(y):
         diff = y[ei] - y[ej]
@@ -117,48 +119,61 @@ def _serial_descent(x, ei, ej, max_iters, tol_residual=1e-12):
         return diff, p, float(np.dot(p, p))
 
     diff, p, f = residuals(x)
-    step = 1.0
+    lam = 10.0
     for _ in range(max_iters):
-        if f <= tol_residual:
+        if f == 0.0:
             break
-        g = np.zeros_like(x)
-        w = (4.0 * p)[:, None] * diff
-        np.add.at(g, ei, w)
-        np.add.at(g, ej, -w)
-        gg = float(np.sum(g * g))
-        if gg <= 1e-24:
+        jac = np.zeros((len(ei), n, d))
+        jac[edges, ei] = 2.0 * diff
+        jac[edges, ej] = -2.0 * diff
+        jac = jac.reshape(len(ei), -1)
+        delta = np.linalg.solve(jac.T @ jac + lam * np.eye(n * d), -jac.T @ p)
+        xn = x + delta.reshape(n, d)
+        dn, pn, fn = residuals(xn)
+        if fn < f:
+            x, diff, p, f = xn, dn, pn, fn
+            lam = max(lam / 10.0, 1e-12)
+        elif f <= solver.TOL_RESIDUAL:
             break
-        t = min(step * 2.0, 1.0)
-        while True:
-            xn = x - t * g
-            dn, pn, fn = residuals(xn)
-            if fn <= f - 1e-4 * t * gg:
-                break
-            t *= 0.5
-            if t < 1e-18:
-                return f
-        x, diff, p, f, step = xn, dn, pn, fn, t
-    return f
+        else:
+            lam *= 10.0
+        if lam >= 1e12:
+            break
+    return x, f
 
 
 def test_batched_restarts_follow_their_serial_trajectories():
-    g = make_complete(4)
     cfg = SolverConfig(seed=0, max_iters=200)
     rows = np.arange(32)
-    x0 = np.stack([solver.INIT_SCALE * np.random.default_rng([cfg.seed, int(r)]).normal(size=(4, 2))
-                   for r in rows])
-    final = {}
+    cases = [
+        (make_complete(4), 2, False),  # every restart ends on the 2/3 floor
+        (make_complete(4), 3, True),
+        (Graph(5, [(i, (i + 1) % 5) for i in range(5)]), 2, True),
+    ]
+    for g, d, roots in cases:
+        x0 = np.stack([solver.INIT_SCALE * np.random.default_rng([cfg.seed, int(r)]).normal(size=(g.n, d))
+                       for r in rows])
+        final = {}
 
-    def settle(r, x, f):
-        final[r] = f
-        return np.inf
+        def settle(r, x, f):
+            final[r] = x.copy(), f
+            return np.inf
 
-    solver._run_batch(x0.copy(), rows, *solver._incidence(g), cfg, settle)
-    assert sorted(final) == rows.tolist()
-    e = np.array(g.sorted_edges())
-    for r in rows:
-        ref = _serial_descent(x0[r], e[:, 0], e[:, 1], cfg.max_iters)
-        assert abs(final[r] - ref) <= 1e-9, (r, final[r], ref)
+        def passes(x, f):
+            return f <= solver.TOL_RESIDUAL and accepts(g, x, solver.MIN_SEPARATION,
+                                                        solver.MARGIN_NONEDGE)
+
+        solver._run_batch(x0.copy(), rows, solver._incidence(g), cfg, settle)
+        assert sorted(final) == rows.tolist()
+        e = np.array(g.sorted_edges())
+        passed = 0
+        for r in rows:
+            x, f = final[r]
+            ref_x, ref_f = _serial_lm(x0[r], e[:, 0], e[:, 1], cfg.max_iters)
+            assert abs(f - ref_f) <= 1e-9, (g.m, d, r, f, ref_f)
+            assert passes(x, f) == passes(ref_x, ref_f), (g.m, d, r)
+            passed += passes(x, f)
+        assert (passed > 0) == roots, (g.m, d, passed)
 
 
 @pytest.mark.parametrize("g, d, seeds", [
