@@ -11,7 +11,8 @@ disjoint union of paths. In higher dimension each isomorphism class first
 meets an ordered table of elementary obstructions (_RULES); a rule that
 fires is a proof, recorded on the entry as {"rule", "params"}. Only a class
 no rule refutes reaches the numeric solver, whose witness is checked by
-verify and whose exhausted search is evidence, never proof. The method tag
+verify and whose exhausted search is evidence, never proof; all those
+classes go to the solver as one batch (solver.solve_many). The method tag
 on every entry keeps these three kinds of answer apart.
 
 Also provides the zero-pattern counting bound C(n(n-1), nd) on the number
@@ -28,12 +29,13 @@ import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, permutations, repeat
+from functools import partial
+from itertools import combinations, permutations
 
 import numpy as np
 
 from .graphs import Graph
-from .solver import MARGIN_NONEDGE, TOL_RESIDUAL, SolverConfig, solve_distance, solve_faithful
+from .solver import MARGIN_NONEDGE, TOL_RESIDUAL, SolverConfig, solve_many
 
 _MAX_CENSUS_N = 6
 
@@ -225,20 +227,43 @@ def _canonical_masks(n: int) -> list:
     return canon.tolist()
 
 
-def _classify_rep(mask: int, n: int, d: int, semantics: str, cfg: SolverConfig):
-    """Classify one representative graph; returns (status, method, residual, rule)."""
-    g = _graph_of_mask(mask, n)
+def _classify(reps: list, n: int, d: int, semantics: str, cfg: SolverConfig, jobs: int) -> dict:
+    """Classify the representatives: rep -> (status, method, residual, rule).
+
+    The rules run on every representative first; the classes no rule refutes
+    then go to the solver together, split into `jobs` slices for a process
+    pool. Every slice is padded to the widest of those classes, so the
+    result does not depend on jobs.
+    """
+    graphs = [_graph_of_mask(rep, n) for rep in reps]
     if d == 1:
-        ok = linear_forest_oracle(g)
-        return (STATUS_REALIZABLE if ok else STATUS_NOT_REALIZABLE), METHOD_EXACT, None, None
-    rule = _refuting_rule(g, d)
-    if rule is not None:
-        return STATUS_NOT_REALIZABLE, METHOD_RULE, None, rule
-    solve = solve_faithful if semantics == "faithful" else solve_distance
-    res = solve(g, d, cfg)
-    if res.status == "FOUND":
-        return STATUS_REALIZABLE, METHOD_FOUND, res.residual, None
-    return STATUS_PRESUMED_NOT, METHOD_EXHAUSTED, res.best_residual, None
+        return {rep: ((STATUS_REALIZABLE if linear_forest_oracle(g) else STATUS_NOT_REALIZABLE),
+                      METHOD_EXACT, None, None) for rep, g in zip(reps, graphs)}
+    out, todo = {}, []
+    for rep, g in zip(reps, graphs):
+        rule = _refuting_rule(g, d)
+        if rule is None:
+            todo.append((rep, g))
+        else:
+            out[rep] = STATUS_NOT_REALIZABLE, METHOD_RULE, None, rule
+    if not todo:
+        return out
+    solve = partial(solve_many, d=d, cfg=cfg, faithful=semantics == "faithful",
+                    _width=max(g.m for _, g in todo))
+    slices = [todo[i::jobs] for i in range(min(jobs, len(todo)))]
+    graph_slices = [[g for _, g in part] for part in slices]
+    if len(slices) > 1:
+        with ProcessPoolExecutor(max_workers=len(slices)) as pool:
+            results = list(pool.map(solve, graph_slices))
+    else:
+        results = [solve(graph_slices[0])]
+    for part, solved in zip(slices, results):
+        for (rep, _), res in zip(part, solved):
+            if res.status == "FOUND":
+                out[rep] = STATUS_REALIZABLE, METHOD_FOUND, res.residual, None
+            else:
+                out[rep] = STATUS_PRESUMED_NOT, METHOD_EXHAUSTED, res.best_residual, None
+    return out
 
 
 @dataclass(frozen=True)
@@ -324,13 +349,7 @@ def _run_census(n: int, d: int, semantics: str, cfg: SolverConfig, jobs: int) ->
 
     canon = _canonical_masks(n)
     reps = sorted(set(canon))
-    args = [reps] + [repeat(a) for a in (n, d, semantics, cfg)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_classify_rep, *args))
-    else:
-        outcomes = list(map(_classify_rep, *args))
-    by_rep = dict(zip(reps, outcomes))
+    by_rep = _classify(reps, n, d, semantics, cfg, jobs)
 
     entries = tuple(GraphEntry(mask, edges, *by_rep[rep])
                     for mask, (rep, edges) in enumerate(zip(canon, _edge_table(n))))

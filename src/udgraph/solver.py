@@ -7,6 +7,13 @@ _CHUNK as one batch of shape (c, n, d). With B the n x m edge-incidence
 matrix, the edge differences of the whole batch are B^T X, and the Jacobian J
 of the residuals is read off them.
 
+solve_many runs the restarts of many graphs on one vertex count through the
+same batch. Each row carries its own graph's B^T, zero-padded to the widest
+graph, and a unit target that is 1 on real edge slots and 0 on padded ones,
+so p = |B^T X|^2 - target is exactly 0 on a padded slot, which then adds
+nothing to J or F. All graphs take their chunks in lockstep waves. A
+one-graph solve is a batch of one and carries no padding.
+
 Every restart runs Levenberg-Marquardt from its first step (Levenberg 1944,
 Marquardt 1963; Nocedal & Wright, Numerical Optimization, ch. 10): it solves
 (J^T J + lambda I) delta = -J^T p, takes the step only when F drops, and
@@ -20,8 +27,10 @@ verify` publishes) and, for faithful solves, every non-edge MARGIN_NONEDGE
 clear of unit length.
 
 A restart's gate is checked as soon as it finishes. The lowest-index accepted
-restart wins, and the search stops once no restart below it is unfinished, so
-the result depends on (seed, restart index) only, never on the chunk size.
+restart of a graph wins, and its search stops once no restart below it is
+unfinished, so the result depends on (seed, restart index) only, never on
+the chunk size or on the other graphs in the batch (up to round-off: padding
+changes the order of the sums in J^T J).
 """
 
 from __future__ import annotations
@@ -86,45 +95,46 @@ def _incidence(g: Graph) -> np.ndarray:
     return bt
 
 
-def _residuals(x, bt):
-    """Edge differences (c, m, d), residuals |diff|^2 - 1 (c, m) and F (c,)."""
+def _residuals(x, bt, target):
+    """Edge differences (c, m, d), residuals |diff|^2 - target (c, m) and F (c,)."""
     diff = bt @ x
-    p = np.einsum("...i,...i->...", diff, diff) - 1.0
+    p = np.einsum("...i,...i->...", diff, diff) - target
     return diff, p, np.einsum("...i,...i->...", p, p)
 
 
 def _jacobian(diff, bt):
     """Jacobian (c, m, n*d) of the residuals p with respect to the points."""
     c, m, d = diff.shape
-    return 2.0 * (bt[:, :, None] * diff[:, :, None, :]).reshape(c, m, bt.shape[1] * d)
+    return 2.0 * (bt[..., None] * diff[:, :, None, :]).reshape(c, m, bt.shape[-1] * d)
 
 
 def objective(g: Graph, points: np.ndarray) -> float:
-    return float(_residuals(np.asarray(points, dtype=float)[None], _incidence(g))[2][0])
+    return float(_residuals(np.asarray(points, dtype=float)[None], _incidence(g), 1.0)[2][0])
 
 
 def gradient(g: Graph, points: np.ndarray) -> np.ndarray:
     """The gradient 2 J^T p of F, through the Jacobian the solver steps with."""
     x = np.asarray(points, dtype=float)[None]
     bt = _incidence(g)
-    diff, p, _ = _residuals(x, bt)
+    diff, p, _ = _residuals(x, bt, 1.0)
     return (2.0 * p[:, None, :] @ _jacobian(diff, bt)).reshape(x.shape)[0]
 
 
-def _run_batch(x, rows, bt, cfg: SolverConfig, settle) -> None:
-    """Run the restarts `rows`, started from the batch x of shape (c, n, d).
+def _run_batch(x, rows, owner, bt, target, cfg: SolverConfig, settle) -> None:
+    """Run restart rows[k] of graph owner[k] from x[k], for a batch x (c, n, d).
 
-    Every iteration takes one Levenberg-Marquardt trial step per restart,
-    solving (J^T J + lambda I) delta = -J^T p. A step that lowers F is taken
-    and divides lambda by 10; any other step is refused and multiplies it by
-    10. A restart leaves the batch when F is 0, when a step is refused while
+    Row k carries its graph's padded incidence bt[k] and unit target
+    target[k]. Every iteration takes one Levenberg-Marquardt trial step per
+    row, solving (J^T J + lambda I) delta = -J^T p. A step that lowers F is
+    taken and divides lambda by 10; any other step is refused and multiplies
+    it by 10. A row leaves the batch when F is 0, when a step is refused while
     F is within TOL_RESIDUAL (converged to round-off), when lambda reaches
-    _LAMBDA_MAX (stalled), or after max_iters iterations. settle(r, point, F)
-    is then called, in restart order among those leaving together, and
-    returns the lowest restart index that can still win; restarts at or above
-    it are dropped.
+    _LAMBDA_MAX (stalled), or after max_iters iterations. settle(graph,
+    restart, point, F) is then called, in row order among those leaving
+    together, and returns each graph's lowest restart index that can still
+    win; rows at or above their graph's bound are dropped.
     """
-    diff, p, f = _residuals(x, bt)
+    diff, p, f = _residuals(x, bt, target)
     lam = np.full(rows.size, _LAMBDA0)
     out = f == 0.0
     eye = np.eye(x.shape[1] * x.shape[2])
@@ -132,18 +142,18 @@ def _run_batch(x, rows, bt, cfg: SolverConfig, settle) -> None:
         if it == cfg.max_iters:
             out[:] = True
         if np.count_nonzero(out):
-            bound = np.inf
             for k in np.flatnonzero(out):
-                bound = settle(int(rows[k]), x[k], float(f[k]))
-            keep = ~out & (rows < bound)
-            x, diff, p, f, lam, rows = (a[keep] for a in (x, diff, p, f, lam, rows))
+                bound = settle(int(owner[k]), int(rows[k]), x[k], float(f[k]))
+            keep = ~out & (rows < bound[owner])
+            x, diff, p, f, lam, rows, owner, bt, target = (
+                a[keep] for a in (x, diff, p, f, lam, rows, owner, bt, target))
             if not rows.size:
                 return
         jac = _jacobian(diff, bt)
         jt = jac.transpose(0, 2, 1)
         normal = jt @ jac + lam[:, None, None] * eye
         xn = x + np.linalg.solve(normal, -(jt @ p[..., None])).reshape(x.shape)
-        dn, pn, fn = _residuals(xn, bt)
+        dn, pn, fn = _residuals(xn, bt, target)
         took = fn < f
         x = np.where(took[:, None, None], xn, x)
         diff = np.where(took[:, None, None], dn, diff)
@@ -153,34 +163,63 @@ def _run_batch(x, rows, bt, cfg: SolverConfig, settle) -> None:
         out = (f == 0.0) | (~took & (f <= TOL_RESIDUAL)) | (lam >= _LAMBDA_MAX)
 
 
-def _solve(g: Graph, d: int, cfg: SolverConfig, faithful: bool) -> SolveResult:
-    if g.n < 1:
+def solve_many(graphs, d: int, cfg: SolverConfig | None = None, faithful: bool = True,
+               _width: int | None = None) -> list:
+    """Search realizations of many graphs on one vertex count in one batch.
+
+    Returns one SolveResult per graph, in order, each with the status,
+    restarts_used and best_residual that solve_faithful (faithful=True) or
+    solve_distance (faithful=False) gives on that graph alone. Every graph is
+    padded to _width edge slots (default: the widest graph), so callers that
+    split one list into several calls can keep each row's arithmetic the same.
+    """
+    graphs = list(graphs)
+    cfg = cfg or SolverConfig()
+    if any(g.n < 1 for g in graphs):
         raise ValueError("graph must have at least one vertex")
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    bt = _incidence(g)
-    final = np.full(cfg.restarts, np.inf)  # each finished restart's residual
-    winner, found = cfg.restarts, None  # the lowest accepted restart so far
+    if not graphs:
+        return []
+    n = graphs[0].n
+    if any(g.n != n for g in graphs):
+        raise ValueError("solve_many needs graphs on one vertex count")
+    m = np.array([g.m for g in graphs])
+    width = int(m.max()) if _width is None else _width
+    bts = np.zeros((len(graphs), width, n))
+    for k, g in enumerate(graphs):
+        bts[k, : g.m] = _incidence(g)
+    targets = (np.arange(width) < m[:, None]).astype(float)
+    final = np.full((len(graphs), cfg.restarts), np.inf)  # each finished restart's residual
+    winner = np.full(len(graphs), cfg.restarts)  # each graph's lowest accepted restart so far
+    found = [None] * len(graphs)
     margin = MARGIN_NONEDGE if faithful else None
 
-    def settle(r, x, f):
-        nonlocal winner, found
-        final[r] = f
-        if r < winner and f <= TOL_RESIDUAL and accepts(g, x, MIN_SEPARATION, margin):
-            winner, found = r, (x, f)
+    def settle(k, r, x, f):
+        final[k, r] = f
+        if r < winner[k] and f <= TOL_RESIDUAL and accepts(graphs[k], x, MIN_SEPARATION, margin):
+            winner[k], found[k] = r, (x, f)
         return winner
 
     start, size = 0, 1
-    while start < min(cfg.restarts, winner):
+    while (live := np.flatnonzero(start < winner)).size:
         rows = np.arange(start, min(start + size, cfg.restarts))
         start, size = start + rows.size, min(2 * size, _CHUNK)
-        x = np.stack([INIT_SCALE * np.random.default_rng([cfg.seed, int(r)]).normal(size=(g.n, d))
+        x = np.stack([INIT_SCALE * np.random.default_rng([cfg.seed, int(r)]).normal(size=(n, d))
                       for r in rows])
-        _run_batch(x, rows, bt, cfg, settle)
+        owner = np.repeat(live, rows.size)
+        _run_batch(np.tile(x, (live.size, 1, 1)), np.tile(rows, live.size), owner,
+                   bts[owner], targets[owner], cfg, settle)
+    return [_result(d, *args) for args in zip(found, final, winner.tolist())]
+
+
+def _result(d: int, found, final: np.ndarray, winner: int) -> SolveResult:
+    """One graph's SolveResult from its accepted (point, F) or None, the
+    residuals of its finished restarts and its winning restart index."""
     if found is None:
         best = float(final.min(initial=np.inf))
         return SolveResult("NOT_FOUND", None, residual=best, best_residual=best,
-                           restarts_used=cfg.restarts)
+                           restarts_used=final.size)
     x, f = found
     return SolveResult("FOUND", Embedding(dim=d, points=x), residual=f,
                        best_residual=float(final[: winner + 1].min()), restarts_used=winner + 1)
@@ -195,12 +234,12 @@ def solve_faithful(g: Graph, d: int, cfg: SolverConfig | None = None) -> SolveRe
     least MARGIN_NONEDGE. NOT_FOUND results carry the best residual seen, which is
     evidence (not proof) of unrealizability.
     """
-    return _solve(g, d, cfg or SolverConfig(), faithful=True)
+    return solve_many([g], d, cfg, faithful=True)[0]
 
 
 def solve_distance(g: Graph, d: int, cfg: SolverConfig | None = None) -> SolveResult:
     """Search for a distance-graph realization (edges unit, non-edges free)."""
-    return _solve(g, d, cfg or SolverConfig(), faithful=False)
+    return solve_many([g], d, cfg, faithful=False)[0]
 
 
 def gradient_check(g: Graph, d: int, seed: int = 0, h: float = 1e-6) -> float:

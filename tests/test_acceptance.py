@@ -30,7 +30,7 @@ from udgraph.graphs import (
     make_petersen,
     make_remark_graph,
 )
-from udgraph.solver import SolverConfig, gradient_check, solve_faithful
+from udgraph.solver import SolverConfig, gradient_check, solve_faithful, solve_many
 from udgraph.verify import verify
 
 
@@ -125,11 +125,11 @@ def test_criterion_4_census_exactness(monkeypatch):
     assert count_faithful(3, 2, SolverConfig(seed=0, restarts=40)).count_realizable == 8
     solver_inputs = []
 
-    def recording_solve(g, d, cfg):
-        solver_inputs.append(g)
-        return solve_faithful(g, d, cfg)
+    def recording_solve(graphs, *args, **kwargs):
+        solver_inputs.extend(graphs)
+        return solve_many(graphs, *args, **kwargs)
 
-    monkeypatch.setattr(census, "solve_faithful", recording_solve)
+    monkeypatch.setattr(census, "solve_many", recording_solve)
     r42 = count_faithful(4, 2)  # default config: 200 restarts
     assert r42.count_realizable == 63
     assert not [e for e in r42.entries if e.method == "SOLVER_EXHAUSTED"]

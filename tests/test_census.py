@@ -172,6 +172,16 @@ def test_census_parallel_jobs_agree():
     assert [e.status for e in serial.entries] == [e.status for e in parallel.entries]
 
 
+def test_census_report_does_not_depend_on_jobs():
+    # (5,2) reaches the solver: both pool slices pad to the census-wide width
+    def report(jobs):
+        doc = count_faithful(5, 2, jobs=jobs).to_dict()
+        assert doc["config"].pop("jobs") == jobs
+        return json.dumps(doc, sort_keys=True)
+
+    assert report(1) == report(2)
+
+
 def test_krt_obstruction():
     k33 = make_complete_multipartite([3, 3])
     assert is_krt_obstructed(k33, 2)

@@ -109,25 +109,30 @@ def test_solver_rejects_bad_dimension():
 
 
 def _serial_lm(x, ei, ej, max_iters):
-    """Reference: one restart's Levenberg-Marquardt iteration, run on its own."""
+    """Reference: one restart's Levenberg-Marquardt iteration, run on its own.
+
+    Returns the final point, its F and the number of trial steps taken. F is
+    summed as the solver sums it, so that the accept test fn < f agrees bit
+    for bit on a positive-F floor, where the two sides differ only by
+    round-off."""
     n, d = x.shape
     edges = np.arange(len(ei))
 
     def residuals(y):
         diff = y[ei] - y[ej]
         p = np.einsum("ij,ij->i", diff, diff) - 1.0
-        return diff, p, float(np.dot(p, p))
+        return diff, p, float(np.einsum("i,i->", p, p))
 
     diff, p, f = residuals(x)
     lam = 10.0
-    for _ in range(max_iters):
-        if f == 0.0:
-            break
+    steps = 0
+    while steps < max_iters and f != 0.0:
         jac = np.zeros((len(ei), n, d))
         jac[edges, ei] = 2.0 * diff
         jac[edges, ej] = -2.0 * diff
         jac = jac.reshape(len(ei), -1)
         delta = np.linalg.solve(jac.T @ jac + lam * np.eye(n * d), -jac.T @ p)
+        steps += 1
         xn = x + delta.reshape(n, d)
         dn, pn, fn = residuals(xn)
         if fn < f:
@@ -139,41 +144,100 @@ def _serial_lm(x, ei, ej, max_iters):
             lam *= 10.0
         if lam >= 1e12:
             break
-    return x, f
+    return x, f, steps
 
 
-def test_batched_restarts_follow_their_serial_trajectories():
+_C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+_C5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
+
+
+def test_batched_restarts_follow_their_serial_trajectories(monkeypatch):
+    # _residuals runs once before the loop and once per trial step
+    calls = [0]
+    residuals = solver._residuals
+
+    def counting(*args):
+        calls[0] += 1
+        return residuals(*args)
+
+    monkeypatch.setattr(solver, "_residuals", counting)
     cfg = SolverConfig(seed=0, max_iters=200)
-    rows = np.arange(32)
+    restarts = np.arange(32)
     cases = [
-        (make_complete(4), 2, False),  # every restart ends on the 2/3 floor
-        (make_complete(4), 3, True),
-        (Graph(5, [(i, (i + 1) % 5) for i in range(5)]), 2, True),
+        ([make_complete(4)], 2, [False]),  # every restart ends on the 2/3 floor
+        ([make_complete(4)], 3, [True]),
+        ([_C5], 2, [True]),
+        # one mixed batch: C_4's rows are padded to K_4's six edge slots
+        ([make_complete(4), _C4], 2, [False, True]),
     ]
-    for g, d, roots in cases:
-        x0 = np.stack([solver.INIT_SCALE * np.random.default_rng([cfg.seed, int(r)]).normal(size=(g.n, d))
-                       for r in rows])
+    for graphs, d, roots in cases:
+        n, width = graphs[0].n, max(g.m for g in graphs)
+        x0 = np.stack([solver.INIT_SCALE * np.random.default_rng([cfg.seed, int(r)]).normal(size=(n, d))
+                       for r in restarts])
+        bt = np.zeros((len(graphs), width, n))
+        for k, g in enumerate(graphs):
+            bt[k, : g.m] = solver._incidence(g)
+        target = (np.arange(width) < np.array([[g.m] for g in graphs])).astype(float)
+        owner = np.repeat(np.arange(len(graphs)), restarts.size)
         final = {}
 
-        def settle(r, x, f):
-            final[r] = x.copy(), f
-            return np.inf
+        def settle(k, r, x, f):
+            final[k, r] = x.copy(), f, calls[0] - 1
+            return np.full(len(graphs), np.inf)
 
-        def passes(x, f):
-            return f <= solver.TOL_RESIDUAL and accepts(g, x, solver.MIN_SEPARATION,
-                                                        solver.MARGIN_NONEDGE)
+        calls[0] = 0
+        solver._run_batch(np.tile(x0, (len(graphs), 1, 1)), np.tile(restarts, len(graphs)),
+                          owner, bt[owner], target[owner], cfg, settle)
+        assert sorted(final) == [(k, r) for k in range(len(graphs)) for r in restarts]
+        for k, g in enumerate(graphs):
+            e = np.array(g.sorted_edges())
 
-        solver._run_batch(x0.copy(), rows, solver._incidence(g), cfg, settle)
-        assert sorted(final) == rows.tolist()
-        e = np.array(g.sorted_edges())
-        passed = 0
-        for r in rows:
-            x, f = final[r]
-            ref_x, ref_f = _serial_lm(x0[r], e[:, 0], e[:, 1], cfg.max_iters)
-            assert abs(f - ref_f) <= 1e-9, (g.m, d, r, f, ref_f)
-            assert passes(x, f) == passes(ref_x, ref_f), (g.m, d, r)
-            passed += passes(x, f)
-        assert (passed > 0) == roots, (g.m, d, passed)
+            def passes(x, f):
+                return f <= solver.TOL_RESIDUAL and accepts(g, x, solver.MIN_SEPARATION,
+                                                            solver.MARGIN_NONEDGE)
+
+            passed = 0
+            for r in restarts:
+                x, f, steps = final[k, r]
+                ref_x, ref_f, ref_steps = _serial_lm(x0[r], e[:, 0], e[:, 1], cfg.max_iters)
+                assert abs(f - ref_f) <= 1e-9, (g.m, d, r, f, ref_f)
+                assert steps == ref_steps, (g.m, d, r, steps, ref_steps)
+                assert passes(x, f) == passes(ref_x, ref_f), (g.m, d, r)
+                passed += passes(x, f)
+            assert (passed > 0) == roots[k], (g.m, d, passed)
+
+
+def _outcome(res):
+    emb = None if res.embedding is None else res.embedding.to_json()
+    return res.status, res.restarts_used, res.best_residual, res.residual, emb
+
+
+@pytest.mark.parametrize("faithful", [True, False], ids=["faithful", "distance"])
+def test_solve_many_matches_one_graph_solves(faithful):
+    cfg = SolverConfig(seed=0, restarts=60)
+    solve = solve_faithful if faithful else solve_distance
+    # mixed edge counts, so every graph but K_4 (which exhausts) is padded
+    mixed = [Graph(4, []), _C4, Graph(4, [(0, 1), (1, 2), (2, 3)]), make_complete(4)]
+    many = solver.solve_many(mixed, 2, cfg, faithful)
+    alone = [solve(g, 2, cfg) for g in mixed]
+    assert [r.status for r in many] == ["FOUND", "FOUND", "FOUND", "NOT_FOUND"]
+    assert [_outcome(r)[:2] for r in many] == [_outcome(r)[:2] for r in alone]
+    # padding reorders the sums in J^T J, which moves a residual by round-off only
+    for r, s in zip(many, alone):
+        assert r.best_residual == pytest.approx(s.best_residual, rel=1e-12, abs=1e-30)
+    # one edge count: no padding, so every byte is the one-graph solve's
+    same_m = [Graph(4, [(0, 1), (1, 2), (2, 3)]), Graph(4, [(0, 1), (0, 2), (0, 3)]),
+              Graph(4, [(0, 1), (1, 2), (0, 2)])]
+    many = solver.solve_many(same_m, 2, cfg, faithful)
+    assert [_outcome(r) for r in many] == [_outcome(solve(g, 2, cfg)) for g in same_m]
+
+
+def test_solve_many_input_checks():
+    assert solver.solve_many([], 2) == []
+    with pytest.raises(ValueError, match="one vertex count"):
+        solver.solve_many([Graph(3, []), Graph(4, [])], 2)
+    with pytest.raises(ValueError, match="at least one vertex"):
+        solver.solve_many([Graph(0, [])], 2)
 
 
 @pytest.mark.parametrize("g, d, seeds", [
