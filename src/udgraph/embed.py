@@ -364,7 +364,7 @@ def _b_cluster_ok(pts: np.ndarray, d: int) -> bool:
     """General position of the B cluster alone: points 1e-3 apart within
     B_DIAMETER, and
     (a) every subset of size <= d+1 is affinely independent (one stacked
-        rank test per subset size);
+        rank test of the subsets of size min(d+1, m), which hold the rest);
     (b) no d+1 points lie within 1e-3 of a common unit sphere (one stacked
         circumradius solve).
     Where the A vertices go is left to place_on_spheres and verified_witness.
@@ -375,10 +375,9 @@ def _b_cluster_ok(pts: np.ndarray, d: int) -> bool:
     dist = classify_pairs(None, pts).dist
     if dist.min(initial=np.inf) < 1e-3 or dist.max(initial=0.0) > B_DIAMETER:
         return False
-    for t in range(3, min(d + 1, m) + 1):
-        for sub in _subset_blocks(m, t):
-            if np.any(affine_ranks(pts[sub]) != t - 1):
-                return False
+    t = min(d + 1, m)  # pairs and single points are independent once 1e-3 apart
+    if t >= 3 and any(np.any(affine_ranks(pts[sub]) != t - 1) for sub in _subset_blocks(m, t)):
+        return False
     if m >= d + 1:
         for sub in _subset_blocks(m, d + 1):
             if np.any(np.abs(circumradii(pts[sub]) - 1.0) < 1e-3):

@@ -87,43 +87,48 @@ class Sphere(NamedTuple):
     basis: np.ndarray
 
 
+def _independent_frame(diffs: np.ndarray):
+    """The SVD frame vt of differences to a base point, or None if they are dependent."""
+    _, sv, vt = np.linalg.svd(diffs, full_matrices=False)
+    return vt if sv[0] > 0.0 and np.sum(sv > TOL_RANK * sv[0]) == len(diffs) else None
+
+
 def minimal_sphere(points) -> Sphere:
     """Smallest sphere through a point set that lies on a common sphere.
 
-    An affinely independent set is its own spanning subset. Otherwise one is
-    extracted greedily (first point first, then every point that raises the
-    rank). The sphere is the circumsphere of that subset, inside its affine
-    hull: in hull coordinates y_i the center solves
+    At most d + 1 points whose differences to the first point pass one SVD
+    rank test (TOL_RANK) are their own spanning subset, and the solve reuses
+    that SVD; otherwise one is extracted greedily (first point first, then
+    every point that raises the rank). The sphere is the circumsphere of that
+    subset, inside its affine hull: in hull coordinates y_i the center solves
     2 (y_i - y_0) . c = |y_i - y_0|^2; a subset that spans R^d keeps its
     ambient coordinates, as circumradii does. Every point must sit on it
-    within TOL_SPHERE, off its flat and off its radius alike. Intended for
-    subsets of a sampled sphere; raises ValueError if the points are not
-    concyclic.
+    within TOL_SPHERE, off its flat and off its radius alike. Raises
+    ValueError if the points are not concyclic.
     """
     pts = as_points(points)
     n, d = pts.shape
     if n == 0:
         raise ValueError("need at least one point")
-    if n <= d + 1 and affine_rank(pts) == n - 1:
-        chosen = list(range(n))
-    else:
+    chosen = list(range(n))
+    vt = _independent_frame(pts[1:] - pts[0]) if 1 < n <= d + 1 else None
+    if vt is None and n > 1:
         chosen = [0]
         for i in range(1, n):
             if affine_rank(pts[chosen + [i]]) == len(chosen):
                 chosen.append(i)
+        if len(chosen) > 1 and (vt := _independent_frame(pts[chosen[1:]] - pts[0])) is None:
+            raise ValueError("spanning subset is affinely dependent")
     if len(chosen) == 1:
         center, radius, basis = pts[0].copy(), 0.0, np.zeros((0, d))
     else:
-        diffs = pts[chosen[1:]] - pts[chosen[0]]
-        _, sv, vt = np.linalg.svd(diffs, full_matrices=False)
-        if sv[0] <= 0.0 or np.sum(sv > TOL_RANK * sv[0]) != len(diffs):
-            raise ValueError("spanning subset is affinely dependent")
+        diffs = pts[chosen[1:]] - pts[0]
         # a subset spanning R^d is solved in ambient coordinates: rotating it
         # into hull coordinates only adds rounding that the solve amplifies
-        basis = np.eye(d) if len(diffs) == d else vt[: len(diffs)]
+        basis = np.eye(d) if len(diffs) == d else vt
         y = diffs @ basis.T
         c = np.linalg.solve(2.0 * y, np.sum(y * y, axis=1))
-        center = pts[chosen[0]] + basis.T @ c
+        center = pts[0] + basis.T @ c
         radius = float(np.linalg.norm(c))
     rel = pts - center
     off_flat = np.linalg.norm(rel - (rel @ basis.T) @ basis, axis=1)

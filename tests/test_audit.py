@@ -309,6 +309,27 @@ def test_audit_realizes_stars_in_the_plane(leaves):
         assert verify(g, r.embedding, mode="faithful", tol=1e-7).passed
 
 
+def test_star_plus_isolated_vertex_is_realizable_in_the_plane():
+    # K_{1,3} + K_1 is faithful in the plane: the audit realizes it when the
+    # isolated vertex sits beside the centre, and the solver finds a witness
+    star = make_complete_multipartite([1, 3])
+    r = faithful_dim_audit(Graph(5, star.edges, bipartition_a={0, 4}), 2)
+    assert r.verdict == "REALIZABLE"
+    assert verify(Graph(5, star.edges), r.embedding, mode="faithful", tol=1e-7).passed
+    found = solve_faithful(Graph(5, star.edges), 2, SolverConfig(seed=0))
+    assert verify(Graph(5, star.edges), found.embedding, mode="faithful", tol=1e-7).passed
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "_construct_side builds in k + _offset(s) dimensions whatever d offers: "
+    "with the isolated vertex beside the leaves, the centre's neighbourhood is "
+    "not full and neither side builds in the plane"))
+def test_star_plus_isolated_vertex_with_the_centre_alone_on_a():
+    star = make_complete_multipartite([1, 3])
+    r = faithful_dim_audit(Graph(5, star.edges, bipartition_a={0}), 2)
+    assert r.verdict == "REALIZABLE"
+
+
 def test_audit_one_vertex_ground_offsets():
     # S^(d-1) about the ground vertex holds one or two full-degree vertices
     # from d = 1 on and three from d = 2 on

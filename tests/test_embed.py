@@ -30,9 +30,11 @@ from udgraph.embed import (
     _sample_b_cluster,
     _subset_blocks,
 )
-from udgraph.audit import _offset, _sides
+from udgraph.audit import _offset, _sides, faithful_dim_audit
 from udgraph.geometry import (
+    Sphere,
     affine_rank,
+    affine_ranks,
     complementary_sphere,
     minimal_sphere,
     sphere_point,
@@ -394,6 +396,14 @@ def _random_audit_graph(rng):
     return Graph(na + nb, edges, bipartition_a=frozenset(range(na)))
 
 
+def _criterion_2_graph(seed):
+    """The acceptance test's first draw of a 12 + 8 graph with A-degrees <= 4
+    (it may hold three degree-4 twins, which the acceptance test redraws)."""
+    rng = np.random.default_rng([977, seed])
+    return Graph(20, [(a, 12 + int(b)) for a in range(12)
+                      for b in rng.choice(8, size=int(rng.integers(1, 5)), replace=False)])
+
+
 def _placement_cases():
     """(nbhds, bpts, rng seed) triples: the audit sides of kprime(4..10),
     remark(1..5) and 60 random audit graphs, realized as _construct_side
@@ -415,14 +425,12 @@ def _placement_cases():
                 bpts = np.pad(r * unit_pts, ((0, 0), (0, d_up - unit_pts.shape[1])))
                 yield side.nbhds, bpts, [seed, attempt, 77]
     for i in range(30):
-        rng = np.random.default_rng([977, i])
-        edges = [(a, 12 + int(b)) for a in range(12)
-                 for b in rng.choice(8, size=int(rng.integers(1, 5)), replace=False)]
+        g = _criterion_2_graph(i)
         try:
-            side_a, side_b = check_bipartite_preconditions(Graph(20, edges), 4)
+            side_a, side_b = check_bipartite_preconditions(g, 4)
         except PreconditionError:
             continue
-        nbhds = neighborhoods_in(Graph(20, edges), side_a, side_b)
+        nbhds = neighborhoods_in(g, side_a, side_b)
         for attempt in range(3):
             rng = np.random.default_rng([i, attempt])
             bpts = _sample_b_cluster(len(side_b), 4, rng)
@@ -557,6 +565,53 @@ def test_b_cluster_ok_streams_subsets_in_blocks(monkeypatch, kind):
         rng = np.random.default_rng(seed)
         pts = _cluster(kind, 9, 4, rng)
         assert _b_cluster_ok(pts, 4) == _b_cluster_ok_reference(pts, 4)
+
+
+def test_b_cluster_ok_takes_one_stacked_rank_test(monkeypatch):
+    # clause (a) of a 9-point cluster in R^4 stacks its 126 5-subsets once;
+    # the 3- and 4-subsets lie inside them and are not tested again
+    for seed in range(20):
+        pts = _sample_b_cluster(9, 4, np.random.default_rng(seed))
+        if _b_cluster_ok_reference(pts, 4):
+            break
+    stacks = []
+    monkeypatch.setattr("udgraph.embed.affine_ranks",
+                        lambda stack: stacks.append(len(stack)) or affine_ranks(stack))
+    assert _b_cluster_ok(pts, 4)
+    assert stacks == [126]
+
+
+def test_b_cluster_ok_tests_the_whole_set_below_d_plus_one():
+    # m = 4 <= d = 4: every triple is independent, but the fourth point lies
+    # in the plane of the first three, so the whole set is the test's subset
+    tri = np.array([[0.0, 0.0, 0.0, 0.0], [0.05, 0.01, 0.002, 0.0], [0.01, 0.04, -0.003, 0.001]])
+    flat = np.vstack([tri, [0.35, 0.25] @ tri[1:]])
+    lifted = flat.copy()
+    lifted[3, 3] += 0.005
+    assert all(affine_rank(flat[list(sub)]) == 2 for sub in combinations(range(4), 3))
+    assert _b_cluster_ok(flat, 4) is _b_cluster_ok_reference(flat, 4) is False
+    assert _b_cluster_ok(lifted, 4) is _b_cluster_ok_reference(lifted, 4) is True
+
+
+def test_construction_bytes_match_the_loop_and_greedy_references(monkeypatch):
+    # one rank decision per general-position test moves no emitted byte: the
+    # per-size loop form of _b_cluster_ok and the greedy minimal sphere give
+    # the same criterion-2 embeddings and the same audit report
+    from test_geometry import _minimal_sphere_reference  # tests/ is on sys.path
+
+    def emit():
+        docs = [embed_bipartite_faithful(_criterion_2_graph(i), 4, seed=i).to_json()
+                for i in range(5)]
+        return docs + [faithful_dim_audit(make_kprime(4), 5).to_json()]
+
+    fast = emit()
+    calls = []
+    monkeypatch.setattr("udgraph.embed._b_cluster_ok",
+                        lambda pts, d: calls.append("b") or _b_cluster_ok_reference(pts, d))
+    monkeypatch.setattr("udgraph.embed.minimal_sphere",
+                        lambda pts: calls.append("s") or Sphere(*_minimal_sphere_reference(pts)))
+    assert emit() == fast
+    assert {"b", "s"} <= set(calls)
 
 
 def test_subset_blocks_cover_combinations_in_order(monkeypatch):

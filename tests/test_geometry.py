@@ -251,6 +251,41 @@ def test_minimal_sphere_matches_greedy_reference(seed, d, k, n, nudge):
     np.testing.assert_array_equal(got.basis, basis)
 
 
+def test_minimal_sphere_of_an_independent_set_takes_one_svd(monkeypatch):
+    # 4 generic points in R^4: the SVD of the differences to the first point
+    # decides independence, so the greedy extraction's affine_rank never runs
+    pts = np.random.default_rng(3).normal(size=(4, 4))
+    center, radius, basis = _minimal_sphere_reference(pts)
+
+    def greedy(points):
+        raise AssertionError("an independent set took the greedy path")
+
+    monkeypatch.setattr("udgraph.geometry.affine_rank", greedy)
+    got = minimal_sphere(pts)
+    assert got.radius == radius
+    np.testing.assert_array_equal(got.center, center)
+    np.testing.assert_array_equal(got.basis, basis)
+
+
+def test_minimal_sphere_of_concyclic_points_takes_the_greedy_path(monkeypatch):
+    # n = d + 1 = 4 points on one circle in R^3 are dependent: the greedy
+    # subset gives their circle, equal to the reference's
+    rng = np.random.default_rng(4)
+    frame = np.linalg.qr(rng.normal(size=(3, 3)))[0][:2]
+    t = np.array([0.3, 1.4, 2.9, 4.4])
+    pts = rng.normal(size=3) + 0.6 * np.column_stack([np.cos(t), np.sin(t)]) @ frame
+    center, radius, basis = _minimal_sphere_reference(pts)
+    ranks = []
+    monkeypatch.setattr("udgraph.geometry.affine_rank",
+                        lambda points: ranks.append(len(points)) or affine_rank(points))
+    got = minimal_sphere(pts)
+    assert ranks == [2, 3, 4]
+    assert got.radius == radius and abs(radius - 0.6) < 1e-12
+    assert got.basis.shape == (2, 3)
+    np.testing.assert_array_equal(got.center, center)
+    np.testing.assert_array_equal(got.basis, basis)
+
+
 def test_minimal_sphere_rejects_a_point_off_the_flat():
     # a circle of radius 1000 in the plane z = 0 and a fifth point 1e-6 above
     # it at the right distance from the center: the relative rank cutoff calls
