@@ -27,9 +27,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations, permutations
 
 import numpy as np
@@ -227,13 +225,11 @@ def _canonical_masks(n: int) -> list:
     return canon.tolist()
 
 
-def _classify(reps: list, n: int, d: int, semantics: str, cfg: SolverConfig, jobs: int) -> dict:
+def _classify(reps: list, n: int, d: int, semantics: str, cfg: SolverConfig) -> dict:
     """Classify the representatives: rep -> (status, method, residual, rule).
 
     The rules run on every representative first; the classes no rule refutes
-    then go to the solver together, split into `jobs` slices for a process
-    pool. Every slice is padded to the widest of those classes, so the
-    result does not depend on jobs.
+    then go to the solver together, as one solve_many batch.
     """
     graphs = [_graph_of_mask(rep, n) for rep in reps]
     if d == 1:
@@ -246,23 +242,12 @@ def _classify(reps: list, n: int, d: int, semantics: str, cfg: SolverConfig, job
             todo.append((rep, g))
         else:
             out[rep] = STATUS_NOT_REALIZABLE, METHOD_RULE, None, rule
-    if not todo:
-        return out
-    solve = partial(solve_many, d=d, cfg=cfg, faithful=semantics == "faithful",
-                    _width=max(g.m for _, g in todo))
-    slices = [todo[i::jobs] for i in range(min(jobs, len(todo)))]
-    graph_slices = [[g for _, g in part] for part in slices]
-    if len(slices) > 1:
-        with ProcessPoolExecutor(max_workers=len(slices)) as pool:
-            results = list(pool.map(solve, graph_slices))
-    else:
-        results = [solve(graph_slices[0])]
-    for part, solved in zip(slices, results):
-        for (rep, _), res in zip(part, solved):
-            if res.status == "FOUND":
-                out[rep] = STATUS_REALIZABLE, METHOD_FOUND, res.residual, None
-            else:
-                out[rep] = STATUS_PRESUMED_NOT, METHOD_EXHAUSTED, res.best_residual, None
+    solved = solve_many([g for _, g in todo], d, cfg, faithful=semantics == "faithful")
+    for (rep, _), res in zip(todo, solved):
+        if res.status == "FOUND":
+            out[rep] = STATUS_REALIZABLE, METHOD_FOUND, res.residual, None
+        else:
+            out[rep] = STATUS_PRESUMED_NOT, METHOD_EXHAUSTED, res.best_residual, None
     return out
 
 
@@ -342,14 +327,14 @@ def _run_census(n: int, d: int, semantics: str, cfg: SolverConfig, jobs: int) ->
         raise ValueError(f"census supports 1 <= n <= {_MAX_CENSUS_N}, got n={n}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got d={d}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got jobs={jobs}")
+    if jobs != 1:
+        raise ValueError(f"the census runs in one process: jobs must be 1, got jobs={jobs}")
     if cfg is None:
         cfg = SolverConfig()
 
     canon = _canonical_masks(n)
     reps = sorted(set(canon))
-    by_rep = _classify(reps, n, d, semantics, cfg, jobs)
+    by_rep = _classify(reps, n, d, semantics, cfg)
 
     entries = tuple(GraphEntry(mask, edges, *by_rep[rep])
                     for mask, (rep, edges) in enumerate(zip(canon, _edge_table(n))))
@@ -365,7 +350,6 @@ def _run_census(n: int, d: int, semantics: str, cfg: SolverConfig, jobs: int) ->
             "margin_nonedge": MARGIN_NONEDGE,
             "seed": cfg.seed,
         },
-        "jobs": jobs,
         "isomorphism_classes": len(reps),
     }
     return CensusReport(
@@ -381,12 +365,14 @@ def _run_census(n: int, d: int, semantics: str, cfg: SolverConfig, jobs: int) ->
 
 
 def count_faithful(n: int, d: int, cfg: SolverConfig = None, jobs: int = 1) -> CensusReport:
-    """Census of faithfully realizable labelled graphs on n vertices in R^d."""
+    """Census of faithfully realizable labelled graphs on n vertices in R^d
+    (in one process: jobs remains only for existing callers and must be 1)."""
     return _run_census(n, d, "faithful", cfg, jobs)
 
 
 def count_distance(n: int, d: int, cfg: SolverConfig = None, jobs: int = 1) -> CensusReport:
-    """Census of distance-realizable labelled graphs on n vertices in R^d."""
+    """Census of distance-realizable labelled graphs on n vertices in R^d
+    (in one process: jobs remains only for existing callers and must be 1)."""
     return _run_census(n, d, "distance", cfg, jobs)
 
 
@@ -412,7 +398,17 @@ def ramsey_fd_lower(s: int, d: int) -> int:
         bound = min(full, zero_pattern_bound(s, d))
     except ValueError:
         bound = full
-    m = s - 1
-    while math.comb(m + 1, s) * 2 * bound < full:
-        m += 1
-    return m
+
+    def holds(m):
+        return math.comb(m + 1, s) * 2 * bound < full
+
+    # holds is monotone in m and true at s - 2, where C(s - 1, s) = 0. The answer
+    # is the first m where it fails: gallop up by doubling steps, then bisect.
+    lo, step = s - 2, 1
+    while holds(lo + step):
+        lo, step = lo + step, 2 * step
+    while step > 1:
+        step //= 2
+        if holds(lo + step):
+            lo += step
+    return lo + 1

@@ -167,11 +167,9 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    if args.exact_only and args.dim >= 2:
-        raise ValueError("--exact-only is only available at --dim 1 (no exact oracle above the line)")
     cfg = SolverConfig(seed=args.seed)
     count = count_faithful if args.semantics == "faithful" else count_distance
-    report = count(args.n, args.dim, cfg, jobs=args.jobs)
+    report = count(args.n, args.dim, cfg)
     if args.csv is not None:
         _write_text(args.csv, report.to_csv())
     sys.stdout.write(report.to_json() + "\n")
@@ -211,6 +209,11 @@ def _cmd_plot(args) -> int:
             graph = graph_from_dict(doc["graph"])
         doc = doc["embedding"]
     emb = embedding_from_dict(doc)
+    # a graph's own edges, or else every pair at unit length; classify_pairs
+    # also rejects a graph whose vertex count differs from the point count
+    p = classify_pairs(graph, emb.points)
+    drawn = p.edge if graph is not None else p.dev <= TOL_VERIFY
+    edges = zip(p.i[drawn].tolist(), p.j[drawn].tolist())
 
     proj = _isometric(emb.points)
     lo = proj.min(axis=0, initial=np.inf)
@@ -223,13 +226,6 @@ def _cmd_plot(args) -> int:
         x = pad + (row[0] - lo[0]) * scale
         y = size - pad - (row[1] - lo[1]) * scale
         return x, y
-
-    if graph is not None:
-        edges = sorted(graph.edges)
-    else:
-        p = classify_pairs(None, emb.points)
-        unit = p.dev <= TOL_VERIFY
-        edges = zip(p.i[unit].tolist(), p.j[unit].tolist())
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" height="{size:.0f}" '
@@ -289,9 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--semantics", choices=["faithful", "distance"], default="faithful")
-    p.add_argument("--exact-only", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--csv", default=None, help="also dump per-graph rows to this CSV file")
     p.set_defaults(func=_cmd_census)
 
@@ -319,7 +313,8 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (PreconditionError, RealizationError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (PreconditionError, RealizationError, ValueError, OSError, json.JSONDecodeError,
+            MemoryError) as exc:
         print(f"udgraph: error: {exc}", file=sys.stderr)
         return 2
 

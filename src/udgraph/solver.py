@@ -163,15 +163,13 @@ def _run_batch(x, rows, owner, bt, target, cfg: SolverConfig, settle) -> None:
         out = (f == 0.0) | (~took & (f <= TOL_RESIDUAL)) | (lam >= _LAMBDA_MAX)
 
 
-def solve_many(graphs, d: int, cfg: SolverConfig | None = None, faithful: bool = True,
-               _width: int | None = None) -> list:
+def solve_many(graphs, d: int, cfg: SolverConfig | None = None, faithful: bool = True) -> list:
     """Search realizations of many graphs on one vertex count in one batch.
 
     Returns one SolveResult per graph, in order, each with the status,
     restarts_used and best_residual that solve_faithful (faithful=True) or
     solve_distance (faithful=False) gives on that graph alone. Every graph is
-    padded to _width edge slots (default: the widest graph), so callers that
-    split one list into several calls can keep each row's arithmetic the same.
+    padded to the edge slots of the widest graph in the call.
     """
     graphs = list(graphs)
     cfg = cfg or SolverConfig()
@@ -185,7 +183,7 @@ def solve_many(graphs, d: int, cfg: SolverConfig | None = None, faithful: bool =
     if any(g.n != n for g in graphs):
         raise ValueError("solve_many needs graphs on one vertex count")
     m = np.array([g.m for g in graphs])
-    width = int(m.max()) if _width is None else _width
+    width = int(m.max())
     bts = np.zeros((len(graphs), width, n))
     for k, g in enumerate(graphs):
         bts[k, : g.m] = _incidence(g)
