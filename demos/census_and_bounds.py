@@ -4,6 +4,7 @@ Counting unit-distance graphs and comparing against the zero-pattern bound
 """
 
 import math
+from collections import Counter
 from itertools import combinations
 
 from udgraph import (
@@ -39,6 +40,21 @@ print("faithful on 4 labelled vertices in R^2:", rep42.count_realizable,
 
 rep2d = count_distance(3, 2, cfg=cfg)
 print("distance  on 3 labelled vertices in R^2:", rep2d.count_realizable)
+
+# the report holds one (status, method, residual, rule) row per isomorphism
+# class, keyed by the class's least mask. A class that is a distance graph
+# but not a faithful one separates the two notions; while the faithful side
+# is only an exhausted search, not a proof, the class is a candidate
+print()
+faithful6, distance6 = count_faithful(6, 2), count_distance(6, 2)
+orbits = Counter(faithful6.canon)
+pairs6 = list(combinations(range(6), 2))
+for rep, (status, method, _, _) in sorted(faithful6.classes.items()):
+    if status != "REALIZABLE" and distance6.classes[rep][0] == "REALIZABLE":
+        kind = "candidate" if method == "SOLVER_EXHAUSTED" else "proved"
+        edges = ",".join(f"{u}{v}" for i, (u, v) in enumerate(pairs6) if rep >> i & 1)
+        print(f"{kind} separating class on 6 vertices in R^2: mask {rep}, "
+              f"orbit {orbits[rep]}, edges {{{edges}}} (faithful side {method})")
 
 # the algebraic ceiling: number of zero-patterns of the distance polynomials
 print()

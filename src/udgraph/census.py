@@ -1,19 +1,21 @@
 """Exhaustive small-n censuses of realizable graphs and counting bounds.
 
-Walks every labelled graph on n vertices (n <= 6, at most 32768 graphs),
-classifies each as realizable or not under the faithful or the plain
-distance semantics, and assembles the counts into a report. Both semantics
-place the vertices at distinct points, so a faithful realization is a
-distance realization and every distance obstruction refutes both.
+Sorts every labelled graph on n vertices (n <= 6, at most 32768 graphs in
+156 isomorphism classes) into its class, classifies each class as
+realizable or not under the faithful or the plain distance semantics, and
+keeps one row per class; the report expands the labelled entries and the
+counts from those rows. Both semantics place the vertices at distinct
+points, so a faithful realization is a distance realization and every
+distance obstruction refutes both.
 
 On the line the classifier is exact: a graph embeds in R^1 iff it is a
 disjoint union of paths. In higher dimension each isomorphism class first
 meets an ordered table of elementary obstructions (_RULES); a rule that
-fires is a proof, recorded on the entry as {"rule", "params"}. Only a class
-no rule refutes reaches the numeric solver, whose witness is checked by
-verify and whose exhausted search is evidence, never proof; all those
+fires is a proof, recorded on the class's row as {"rule", "params"}. Only a
+class no rule refutes reaches the numeric solver, whose witness is checked
+by verify and whose exhausted search is evidence, never proof; all those
 classes go to the solver as one batch (solver.solve_many). The method tag
-on every entry keeps these three kinds of answer apart.
+on every row keeps these three kinds of answer apart.
 
 Also provides the zero-pattern counting bound C(n(n-1), nd) on the number
 of faithfully realizable graphs and the Ramsey-style lower bound built on
@@ -28,7 +30,9 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -251,8 +255,7 @@ def _classify(reps: list, n: int, d: int, semantics: str, cfg: SolverConfig) -> 
     return out
 
 
-@dataclass(frozen=True)
-class GraphEntry:
+class GraphEntry(NamedTuple):
     """Classification of one labelled graph in a census."""
 
     mask: int
@@ -275,26 +278,51 @@ class GraphEntry:
 
 @dataclass(frozen=True)
 class CensusReport:
-    """Counts of realizable labelled graphs on n vertices in R^d.
+    """Classification of the labelled graphs on n vertices in R^d.
 
-    count_presumed_not is the complement of count_realizable: it takes in the
-    count_refuted graphs a proof rules out as well as the SOLVER_EXHAUSTED
-    ones.
+    The report holds one row per isomorphism class: canon[mask] is the least
+    mask of mask's class, and classes maps that least mask to the class's
+    (status, method, residual, rule). The labelled entries and the counts
+    are derived from these two. count_presumed_not is the complement of
+    count_realizable: it takes in the count_refuted graphs a proof rules out
+    as well as the SOLVER_EXHAUSTED ones.
     """
 
     n: int
     d: int
     semantics: str
-    count_realizable: int
-    count_presumed_not: int
-    count_refuted: int
-    entries: tuple
+    canon: list
+    classes: dict
     config: dict
+
+    @cached_property
+    def entries(self) -> tuple:
+        """One GraphEntry per labelled graph, in mask order, carrying its class's
+        row; built on first access."""
+        return tuple(GraphEntry(mask, edges, *self.classes[rep])
+                     for mask, (rep, edges) in enumerate(zip(self.canon, _edge_table(self.n))))
+
+    def _count(self, status: str) -> int:
+        """Labelled graphs with the given status: orbit sizes summed over the classes."""
+        return sum(size for rep, size in Counter(self.canon).items()
+                   if self.classes[rep][0] == status)
+
+    @property
+    def count_realizable(self) -> int:
+        return self._count(STATUS_REALIZABLE)
+
+    @property
+    def count_refuted(self) -> int:
+        return self._count(STATUS_NOT_REALIZABLE)
+
+    @property
+    def count_presumed_not(self) -> int:
+        return len(self.canon) - self.count_realizable
 
     @property
     def exact(self) -> bool:
-        """True when every entry is oracle-backed (counts carry no uncertainty)."""
-        return all(e.method == METHOD_EXACT for e in self.entries)
+        """True when every class is oracle-backed (counts carry no uncertainty)."""
+        return all(row[1] == METHOD_EXACT for row in self.classes.values())
 
     def to_dict(self) -> dict:
         return {
@@ -333,15 +361,7 @@ def _run_census(n: int, d: int, semantics: str, cfg: SolverConfig, jobs: int) ->
         cfg = SolverConfig()
 
     canon = _canonical_masks(n)
-    reps = sorted(set(canon))
-    by_rep = _classify(reps, n, d, semantics, cfg)
-
-    entries = tuple(GraphEntry(mask, edges, *by_rep[rep])
-                    for mask, (rep, edges) in enumerate(zip(canon, _edge_table(n))))
-    labelled = Counter()  # labelled graphs per status, summed over the classes
-    for rep, size in Counter(canon).items():
-        labelled[by_rep[rep][0]] += size
-
+    classes = _classify(sorted(set(canon)), n, d, semantics, cfg)
     config = {
         "solver": {
             "restarts": cfg.restarts,
@@ -350,18 +370,9 @@ def _run_census(n: int, d: int, semantics: str, cfg: SolverConfig, jobs: int) ->
             "margin_nonedge": MARGIN_NONEDGE,
             "seed": cfg.seed,
         },
-        "isomorphism_classes": len(reps),
+        "isomorphism_classes": len(classes),
     }
-    return CensusReport(
-        n=n,
-        d=d,
-        semantics=semantics,
-        count_realizable=labelled[STATUS_REALIZABLE],
-        count_presumed_not=len(canon) - labelled[STATUS_REALIZABLE],
-        count_refuted=labelled[STATUS_NOT_REALIZABLE],
-        entries=entries,
-        config=config,
-    )
+    return CensusReport(n, d, semantics, canon, classes, config)
 
 
 def count_faithful(n: int, d: int, cfg: SolverConfig = None, jobs: int = 1) -> CensusReport:

@@ -139,12 +139,6 @@ def _circle_points(count: int) -> np.ndarray:
     return np.stack([r * np.cos(angles), r * np.sin(angles)], axis=1)
 
 
-def _place_on_circles(points: np.ndarray, classes) -> None:
-    """Put class c on _circle_points in coordinates (2c, 2c+1) of points."""
-    for c, cls in enumerate(classes):
-        points[cls, 2 * c : 2 * c + 2] = _circle_points(len(cls))
-
-
 def embed_colorable(g: Graph, coloring=None) -> Embedding:
     """Distance-graph embedding in R^{2k} from a proper k-coloring.
 
@@ -160,28 +154,9 @@ def embed_colorable(g: Graph, coloring=None) -> Embedding:
     if k == 0:
         return Embedding(dim=0, points=np.zeros((0, 0)))
     points = np.zeros((g.n, 2 * k))
-    _place_on_circles(points, classes)
+    for c, cls in enumerate(classes):
+        points[cls, 2 * c : 2 * c + 2] = _circle_points(len(cls))
     return Embedding(dim=2 * k, points=points)
-
-
-def embed_singleton_coloring(g: Graph, coloring) -> Embedding:
-    """Distance-graph embedding in R^{a+2b} for a coloring with a singleton
-    classes and b larger classes.
-
-    Larger classes get orthogonal circles as in embed_colorable; each
-    singleton sits at height 1/sqrt(2) on its own fresh axis. All supports are
-    disjoint, so every cross-class distance is exactly 1.
-    """
-    classes = _check_coloring(g, coloring)
-    big = [cls for cls in classes if len(cls) >= 2]
-    single = [cls for cls in classes if len(cls) == 1]
-    a, b = len(single), len(big)
-    dim = a + 2 * b
-    points = np.zeros((g.n, dim))
-    _place_on_circles(points, big)
-    for t, cls in enumerate(single):
-        points[cls[0], 2 * b + t] = 1.0 / math.sqrt(2.0)
-    return Embedding(dim=dim, points=points)
 
 
 # ---------------------------------------------------------------------------

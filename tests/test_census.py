@@ -1,5 +1,6 @@
 """Census counting, exact oracles, and the Ramsey-style lower bound."""
 
+import hashlib
 import json
 import math
 from collections import Counter
@@ -139,6 +140,33 @@ def test_census_json_is_one_line_of_the_report_dict(n, d):
     text = r.to_json()
     assert "\n" not in text
     assert json.loads(text) == r.to_dict()
+
+
+def test_census_bytes_are_pinned():
+    # the labelled JSON and CSV are expanded from one row per class; any
+    # change to their bytes must be deliberate
+    r = count_faithful(5, 1)
+    assert hashlib.sha256(r.to_json().encode()).hexdigest() == (
+        "fa0f603e4dfc78508d3eb406676c865e91fc8b0dad49a46229abc69c08860cc1")
+    assert hashlib.sha256(r.to_csv().encode()).hexdigest() == (
+        "001d9f1134aae057c48ed4f78737951f79e5c5ba6f47911dc22578fd10760196")
+
+
+def test_entries_and_counts_expand_the_class_rows():
+    r = count_faithful(5, 2, _FAST)
+    entries = r.entries
+    assert len(entries) == len(r.canon) == 2 ** math.comb(5, 2)
+    assert sorted(r.classes) == sorted(set(r.canon))
+    assert len(r.classes) == r.config["isomorphism_classes"] == 34
+    for mask, e in enumerate(entries):
+        assert e.mask == mask
+        assert (e.status, e.method, e.residual, e.rule) == r.classes[r.canon[mask]]
+    statuses = Counter(e.status for e in entries)
+    assert r.count_realizable == statuses["REALIZABLE"]
+    assert r.count_refuted == statuses["NOT_REALIZABLE"]
+    assert r.count_presumed_not == statuses["NOT_REALIZABLE"] + statuses["PRESUMED_NOT"]
+    assert not r.exact
+    assert any(e.method != "EXACT_ORACLE" for e in entries)
 
 
 def test_count_distance_small_cases():

@@ -17,7 +17,6 @@ from udgraph.embed import (
     check_bipartite_preconditions,
     embed_bipartite_faithful,
     embed_colorable,
-    embed_singleton_coloring,
     embedding_from_json,
     growth_dimension,
     place_on_spheres,
@@ -83,20 +82,6 @@ def test_embed_colorable_rejects_improper():
     g = make_complete(3)
     with pytest.raises(PreconditionError):
         embed_colorable(g, [[0, 1], [2]])
-
-
-def test_embed_singleton_star():
-    g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    emb = embed_singleton_coloring(g, [[0], [1, 2, 3, 4]])
-    assert emb.dim == 3  # one singleton + one circle class
-    assert max(_edge_devs(g, emb)) < 1e-12
-
-
-def test_embed_singleton_two_singletons_distance():
-    g = make_complete(2)
-    emb = embed_singleton_coloring(g, [[0], [1]])
-    assert emb.dim == 2
-    assert np.linalg.norm(emb.points[0] - emb.points[1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_embedding_validation_and_json():
