@@ -42,11 +42,19 @@ rep2d = count_distance(3, 2, cfg=cfg)
 print("distance  on 3 labelled vertices in R^2:", rep2d.count_realizable)
 
 # the report holds one (status, method, residual, rule) row per isomorphism
-# class, keyed by the class's least mask. A class that is a distance graph
-# but not a faithful one separates the two notions; while the faithful side
-# is only an exhausted search, not a proof, the class is a candidate
+# class, keyed by the class's least mask. In the plane a unit 4-cycle on
+# distinct points is a rhombus; the rhombi of mask 6010 force two of its
+# vertices onto one point, so it is not even a distance graph
 print()
 faithful6, distance6 = count_faithful(6, 2), count_distance(6, 2)
+for report in (faithful6, distance6):
+    status, method, _, rule = report.classes[6010]
+    print(f"mask 6010 in R^2, {report.semantics} semantics: {status} "
+          f"({method}) by rule {rule['rule']}, params {rule['params']}")
+
+# a class that is a distance graph but not a faithful one separates the two
+# notions; while the faithful side is only an exhausted search, not a proof,
+# the class is a candidate
 orbits = Counter(faithful6.canon)
 pairs6 = list(combinations(range(6), 2))
 for rep, (status, method, _, _) in sorted(faithful6.classes.items()):

@@ -10,7 +10,8 @@ distance obstruction refutes both.
 
 On the line the classifier is exact: a graph embeds in R^1 iff it is a
 disjoint union of paths. In higher dimension each isomorphism class first
-meets an ordered table of elementary obstructions (_RULES); a rule that
+meets an ordered table of elementary obstructions (_RULES: simplex, lenz
+and, in the plane, the rhombus closure of the unit 4-cycles); a rule that
 fires is a proof, recorded on the class's row as {"rule", "params"}. Only a
 class no rule refutes reaches the numeric solver, whose witness is checked
 by verify and whose exhausted search is evidence, never proof; all those
@@ -79,8 +80,15 @@ def linear_forest_oracle(g: Graph) -> bool:
     the two unit slots x-1 and x+1, and a cycle would force its rightmost
     vertex's two neighbours onto the same slot.
     """
-    return all(top <= 2 and size < order
-               for order, size, top in _components(g, range(g.n)))
+    if max(g.degrees(), default=0) > 2:
+        return False
+    label = list(range(g.n))  # union-find: each vertex holds its component's label
+    for u, v in g.edges:
+        if label[u] == label[v]:
+            return False  # the edge closes a cycle
+        old = label[u]
+        label = [label[v] if x == old else x for x in label]
+    return True
 
 
 def _contains_multipartite(g: Graph, sizes) -> bool:
@@ -115,28 +123,6 @@ def is_krt_obstructed(g: Graph, d: int) -> bool:
     return parts >= 2 and _contains_multipartite(g, (3,) * parts)
 
 
-def _components(g: Graph, verts):
-    """(order, edges, max degree) of each component of the subgraph that g
-    induces on verts, in order of each component's least vertex."""
-    verts = set(verts)
-    inner = {u: [w for w in g.neighbors(u) if w in verts] for u in verts}
-    seen = set()
-    for start in sorted(verts):
-        if start in seen:
-            continue
-        seen.add(start)
-        comp, stack = [], [start]
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in inner[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        degs = [len(inner[u]) for u in comp]
-        yield len(comp), sum(degs) // 2, max(degs)
-
-
 def _simplex(g: Graph, d: int):
     """At most d + 1 points of R^d are pairwise at unit distance."""
     return {"k": d + 2} if _contains_multipartite(g, (1,) * (d + 2)) else None
@@ -146,23 +132,37 @@ def _lenz(g: Graph, d: int):
     return {"parts": d // 2 + 1} if is_krt_obstructed(g, d) else None
 
 
-def _plane_common_nbrs(g: Graph, d: int):
-    """Two unit circles about distinct centres meet in at most two points."""
-    return {"common": 3} if d == 2 and _contains_multipartite(g, (2, 3)) else None
+def _reduce(vec: list, rows: dict) -> list:
+    """vec reduced by the integer echelon rows (pivot -> row), exactly: each
+    step cross-multiplies to clear a pivot, then divides by the gcd."""
+    for p in sorted(rows):
+        row, f = rows[p], vec[p]
+        if f:
+            vec = [row[p] * x - f * y for x, y in zip(vec, row)]
+            k = math.gcd(*vec) or 1
+            vec = [x // k for x in vec]
+    return vec
 
 
-def _plane_link(g: Graph, d: int):
-    """N(v) lies on the unit circle about v, where a unit chord spans 60
-    degrees. So a point has at most two link neighbours, at +-60 degrees, and
-    each component of the link is a subgraph of a hexagon's 6-cycle: a path
-    on at most 6 vertices, or C_6 itself."""
+def _plane_rhombus(g: Graph, d: int):
+    """A unit 4-cycle a-b-c-e on distinct points of the plane is a rhombus: b
+    and e are the two crossing points of the unit circles about a and c, so
+    x_a + x_c = x_b + x_e. The rule reduces one relation per 4-cycle, a its
+    least vertex, and fires when their whole span forces x_u = x_v for u != v;
+    its params give only the span's rank, a class invariant. K_{2,3} and a
+    neighbourhood no hexagon holds (unit chords span 60 degrees) are special cases."""
     if d != 2:
         return None
-    for v in range(g.n):
-        for order, size, top in _components(g, g.neighbors(v)):
-            if top > 2 or (order > 6 if size < order else order != 6):
-                return {"order": order, "edges": size}
-    return None
+    rows = {}
+    for a, c in combinations(range(g.n), 2):
+        common = [v for v in g.neighbors(a) if v > a and g.has_edge(v, c)]
+        for b, e in combinations(common, 2):
+            rel = _reduce([(v in (a, c)) - (v in (b, e)) for v in range(g.n)], rows)
+            if any(rel):
+                rows[next(i for i, x in enumerate(rel) if x)] = rel
+    forced = (not any(_reduce([(w == u) - (w == v) for w in range(g.n)], rows))
+              for u, v in combinations(range(g.n), 2))
+    return {"rank": len(rows)} if any(forced) else None
 
 
 # The refutation rules in the order they are tried; the first that fires wins.
@@ -173,8 +173,7 @@ def _plane_link(g: Graph, d: int):
 _RULES = (
     ("simplex", _simplex),
     ("lenz", _lenz),
-    ("plane_common_nbrs", _plane_common_nbrs),
-    ("plane_link", _plane_link),
+    ("plane_rhombus", _plane_rhombus),
 )
 
 

@@ -11,6 +11,7 @@ import pytest
 from udgraph.census import (
     _canonical_masks,
     _graph_of_mask,
+    _plane_rhombus,
     _RULES,
     _refuting_rule,
     count_distance,
@@ -21,7 +22,7 @@ from udgraph.census import (
     zero_pattern_bound,
 )
 from udgraph.graphs import Graph, make_complete, make_complete_multipartite, make_kdoubleprime
-from udgraph.solver import SolverConfig, solve_faithful
+from udgraph.solver import SolverConfig, solve_faithful, solve_many
 from udgraph.verify import verify
 
 _FAST = SolverConfig(restarts=30, max_iters=600)
@@ -150,6 +151,9 @@ def test_census_bytes_are_pinned():
         "fa0f603e4dfc78508d3eb406676c865e91fc8b0dad49a46229abc69c08860cc1")
     assert hashlib.sha256(r.to_csv().encode()).hexdigest() == (
         "001d9f1134aae057c48ed4f78737951f79e5c5ba6f47911dc22578fd10760196")
+    # the plane at n = 4: solver witnesses and residuals, and K_4's simplex entry
+    assert hashlib.sha256(count_faithful(4, 2).to_json().encode()).hexdigest() == (
+        "9d39358b44618d15225aa80ab7706d78b8d77cea3a757278cb656b69d41f1b34")
 
 
 def test_entries_and_counts_expand_the_class_rows():
@@ -217,11 +221,11 @@ def _rules_firing(g, d):
 
 
 def test_rule_table_order_and_names():
-    assert [name for name, _ in _RULES] == ["simplex", "lenz", "plane_common_nbrs", "plane_link"]
+    assert [name for name, _ in _RULES] == ["simplex", "lenz", "plane_rhombus"]
     assert _refuting_rule(make_complete(4), 2) == {"rule": "simplex", "params": {"k": 4}}
     assert _refuting_rule(make_complete(5), 3) == {"rule": "simplex", "params": {"k": 5}}
     k23 = make_complete_multipartite([2, 3])
-    assert _refuting_rule(k23, 2) == {"rule": "plane_common_nbrs", "params": {"common": 3}}
+    assert _refuting_rule(k23, 2) == {"rule": "plane_rhombus", "params": {"rank": 3}}
     assert _refuting_rule(k23, 3) is None
 
 
@@ -230,30 +234,65 @@ def _fan(k):
     return Graph(k + 1, [(i, i + 1) for i in range(1, k)] + [(0, i) for i in range(1, k + 1)])
 
 
-def test_plane_link_alone_refutes_the_5_wheel():
+def test_plane_rhombus_alone_refutes_the_5_wheel():
     w5 = _wheel(5)
-    assert _rules_firing(w5, 2) == ["plane_link"]
-    assert _refuting_rule(w5, 2) == {"rule": "plane_link", "params": {"order": 5, "edges": 5}}
+    assert _rules_firing(w5, 2) == ["plane_rhombus"]
+    assert _refuting_rule(w5, 2) == {"rule": "plane_rhombus", "params": {"rank": 5}}
     assert _refuting_rule(w5, 3) is None
 
 
-def test_plane_link_bounds_each_link_component():
+def test_plane_rhombus_bounds_each_link_component():
     # six unit steps of 60 degrees close the circle, so a path of 7 in the
     # link would put its ends on one point
-    assert _rules_firing(_fan(6), 2) == []
-    assert _rules_firing(_fan(7), 2) == ["plane_link"]
-    assert _refuting_rule(_fan(7), 2)["params"] == {"order": 7, "edges": 6}
-    # a link vertex with three link neighbours; K_{2,3} catches it first
+    assert _rules_firing(_fan(7), 2) == ["plane_rhombus"]
+    assert _refuting_rule(_fan(7), 2)["params"] == {"rank": 5}
+    # a link vertex with three link neighbours, which also holds a K_{2,3}
     k113 = make_complete_multipartite([1, 1, 3])
-    assert _rules_firing(k113, 2) == ["plane_common_nbrs", "plane_link"]
-    assert _RULES[3][1](k113, 2) == {"order": 4, "edges": 3}
+    assert _rules_firing(k113, 2) == ["plane_rhombus"]
+    assert _plane_rhombus(k113, 2) == {"rank": 3}
+
+
+def test_plane_rhombus_reduces_exactly():
+    # the three rhombi of K_4 sum two at a time to 2(x_u - x_v) = 0, so the
+    # forced coincidence needs a coefficient 2, not just sums and differences
+    assert _plane_rhombus(make_complete(4), 2) == {"rank": 3}
+    assert _plane_rhombus(make_complete_multipartite([3, 3]), 2) == {"rank": 5}
+    for g in (make_complete(4), make_complete_multipartite([3, 3]), _wheel(5)):
+        assert _plane_rhombus(g, 3) is None
 
 
 def test_faithful_plane_graphs_trip_no_rule():
     # the 6-wheel is a hexagon with its centre; K_{1,6} is a centre with six
-    # unit spokes at generic angles: both are faithful in the plane
-    for g in (_wheel(6), make_complete_multipartite([1, 6])):
+    # unit spokes at generic angles; the 6-fan is five hexagon edges with the
+    # centre: all three are faithful in the plane
+    for g in (_wheel(6), make_complete_multipartite([1, 6]), _fan(6)):
         assert _rules_firing(g, 2) == []
+
+
+def test_plane_rhombus_decides_class_b_and_not_class_a():
+    # the two classes of the plane at n = 6 that the old rules left to the
+    # solver: B's rhombi force x_2 = x_5, while A (a distance graph) needs a
+    # faithful-only argument that the table does not make
+    assert _refuting_rule(_graph_of_mask(6010, 6), 2) == {
+        "rule": "plane_rhombus", "params": {"rank": 3}}
+    assert _refuting_rule(_graph_of_mask(1916, 6), 2) is None
+
+
+def _relabelings(g):
+    return {frozenset(tuple(sorted((p[u], p[v]))) for u, v in g.edges)
+            for p in permutations(range(g.n))}
+
+
+def test_rule_params_describe_the_obstruction_never_its_vertices():
+    # a rule runs on one class representative and all its labelled copies
+    # share the entry, so every relabelling must get the same answer
+    cases = [(Graph(6, make_complete_multipartite([2, 3]).edges), 2), (_wheel(5), 2),
+             (_graph_of_mask(6010, 6), 2), (make_complete_multipartite([3, 3]), 3)]
+    for g, d in cases:
+        expected = _refuting_rule(g, d)
+        assert expected is not None
+        for edges in _relabelings(g):
+            assert _refuting_rule(Graph(g.n, edges), d) == expected
 
 
 def test_lenz_refutes_k33_below_dimension_four():
@@ -282,6 +321,26 @@ def census6():
     return {d: count_faithful(6, d) for d in (2, 3)}
 
 
+@pytest.fixture(scope="module")
+def distance62():
+    return count_distance(6, 2)
+
+
+def test_rules_never_refute_a_solved_class_at_n6(census6, distance62):
+    # the census runs the table first, so no FOUND class may trip it; and
+    # each class the table refutes must defeat a plain distance search too
+    cfg = SolverConfig(seed=0, restarts=20, max_iters=400)
+    for r in (census6[2], census6[3], distance62):
+        found = [rep for rep, row in r.classes.items() if row[1] == "SOLVER_FOUND"]
+        assert len(found) >= 84
+        assert all(_refuting_rule(_graph_of_mask(rep, 6), r.d) is None for rep in found)
+    for d, r in census6.items():
+        refuted = [_graph_of_mask(rep, 6) for rep, row in r.classes.items()
+                   if row[1] == "CERTIFIED_RULE"]
+        assert len(refuted) >= 10
+        assert all(res.status != "FOUND" for res in solve_many(refuted, d, cfg, faithful=False))
+
+
 def _tally(report):
     methods = Counter(e.method for e in report.entries)
     rules = Counter(e.rule["rule"] for e in report.entries if e.rule is not None)
@@ -291,10 +350,21 @@ def _tally(report):
 def test_census_n6_plane_counts(census6):
     r = census6[2]
     methods, rules = _tally(r)
-    assert (r.count_realizable, r.count_refuted) == (20314, 11734)
-    assert methods == {"SOLVER_FOUND": 20314, "CERTIFIED_RULE": 11734, "SOLVER_EXHAUSTED": 720}
-    assert rules == {"simplex": 5142, "lenz": 130, "plane_common_nbrs": 6390, "plane_link": 72}
+    assert (r.count_realizable, r.count_refuted) == (20314, 12094)
+    assert methods == {"SOLVER_FOUND": 20314, "CERTIFIED_RULE": 12094, "SOLVER_EXHAUSTED": 360}
+    assert rules == {"simplex": 5142, "lenz": 130, "plane_rhombus": 6822}
     assert r.count_presumed_not == (1 << 15) - 20314
+    # class A (mask 1916) is the one class left to the solver
+    assert [rep for rep, row in r.classes.items() if row[1] == "SOLVER_EXHAUSTED"] == [1916]
+
+
+def test_census_n6_plane_distance_counts(distance62):
+    # the same table refutes the same graphs; the distance solver realizes A
+    r = distance62
+    methods, rules = _tally(r)
+    assert (r.count_realizable, r.count_refuted) == (20674, 12094)
+    assert methods == {"SOLVER_FOUND": 20674, "CERTIFIED_RULE": 12094}
+    assert rules == {"simplex": 5142, "lenz": 130, "plane_rhombus": 6822}
 
 
 def test_census_n6_space_counts(census6):
@@ -307,7 +377,7 @@ def test_census_n6_space_counts(census6):
 
 def test_census_entries_carry_their_rule(census6):
     doc = json.loads(json.dumps(census6[2].to_dict()))
-    assert doc["count_refuted"] == 11734
+    assert doc["count_refuted"] == 12094
     for e in doc["entries"]:
         assert (e["rule"] is not None) == (e["method"] == "CERTIFIED_RULE")
         assert (e["status"] == "NOT_REALIZABLE") == (e["method"] == "CERTIFIED_RULE")
@@ -326,9 +396,9 @@ def test_fewest_edges_of_a_nonfaithful_graph(census6):
         assert min(len(e.edges) for e in r.entries if e.status != "REALIZABLE") == 6
     six = {_refuting_rule(_graph_of_mask(e.mask, 6), 2)["rule"]
            for e in census6[2].entries if e.status != "REALIZABLE" and len(e.edges) == 6}
-    assert six == {"simplex", "plane_common_nbrs"}
+    assert six == {"simplex", "plane_rhombus"}
     exhausted = {len(e.edges) for e in census6[2].entries if e.method == "SOLVER_EXHAUSTED"}
-    assert exhausted == {8, 9}
+    assert exhausted == {8}
     space = [e for e in census6[3].entries if e.status != "REALIZABLE"]
     fewest = min(len(e.edges) for e in space)
     assert fewest == make_kdoubleprime(3).m == 9
