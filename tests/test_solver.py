@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -106,6 +109,20 @@ def test_not_found_reports_best_residual():
 def test_solver_rejects_bad_dimension():
     with pytest.raises(ValueError):
         solve_faithful(make_complete(3), 0)
+
+
+def test_one_graph_solve_bytes_are_pinned():
+    # the realize path: a batch of one, no padding. Every FOUND witness and
+    # residual below is the bytes of its descent, so any change to the float
+    # operations of one Levenberg-Marquardt iteration must be deliberate
+    cases = [(_graph_of_mask(m, 4), 2) for m in sorted(set(_canonical_masks(4))) if m != 63]
+    cases += [(_graph_of_mask(m, 5), 3) for m in (7, 31, 63, 127, 184, 191, 223, 255, 495, 511)]
+    cases.append((make_complete(4), 2))  # NOT_FOUND on the 2/3 floor, 200 restarts
+    docs = [json.dumps(solve_faithful(g, d, SolverConfig(seed=k % 3)).to_dict(), sort_keys=True)
+            for k, (g, d) in enumerate(cases)]
+    assert json.loads(docs[-1])["best_residual"] == 0.6666666666666661
+    assert hashlib.sha256("\n".join(docs).encode()).hexdigest() == (
+        "fbacfe44d9ae6165f3387a3a009762687eb173c6abc72be68c39243175def8cf")
 
 
 def _serial_lm(x, ei, ej, max_iters):
