@@ -248,6 +248,14 @@ def _cmd_plot(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later
@@ -265,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", default=None, help="graph JSON file (default: stdin)")
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--method", choices=["colorable", "bipartite", "numeric"], required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--output", default=None, help="write bare embedding JSON here")
     p.set_defaults(func=_cmd_realize)
 
@@ -285,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--semantics", choices=["faithful", "distance"], default="faithful")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--csv", default=None, help="also dump per-graph rows to this CSV file")
     p.set_defaults(func=_cmd_census)
 

@@ -15,9 +15,9 @@ nothing to J or F. All graphs take their chunks in lockstep waves. A
 one-graph solve is a batch of one and carries no padding.
 
 Every restart runs Levenberg-Marquardt from its first step (Levenberg 1944,
-Marquardt 1963; Nocedal & Wright, Numerical Optimization, ch. 10): it solves
-(J^T J + lambda I) delta = -J^T p, takes the step only when F drops, and
-keeps its own damping lambda and iteration count, so it follows the
+Marquardt 1963; Nocedal & Wright, Numerical Optimization, ch. 10): its
+trial step is x - (J^T J + lambda I)^-1 J^T p, taken only when F drops, and
+it keeps its own damping lambda and iteration count, so it follows the
 trajectory it would follow alone. A restart runs until F stops dropping:
 stopping at TOL_RESIDUAL would leave edges up to about 5e-7 off unit length,
 and the gate refuses such a candidate. A candidate with a residual within
@@ -62,8 +62,14 @@ INIT_SCALE = 2.0  # standard deviation of a restart's starting coordinates
 @dataclass(frozen=True)
 class SolverConfig:
     restarts: int = 200
-    max_iters: int = 2000
+    max_iters: int = 2000  # trial steps per restart; 0 settles each start as drawn
     seed: int = 0
+
+    def __post_init__(self):
+        for name, least in (("restarts", 1), ("max_iters", 0), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"SolverConfig.{name} must be at least {least}, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,11 +93,8 @@ class SolveResult:
 def _incidence(g: Graph) -> np.ndarray:
     """B^T: a row per edge (i, j) with +1 at i and -1 at j."""
     bt = np.zeros((g.m, g.n))
-    if g.m:
-        e = np.asarray(g.sorted_edges())
-        rows = np.arange(g.m)
-        bt[rows, e[:, 0]] = 1.0
-        bt[rows, e[:, 1]] = -1.0
+    for row, (i, j) in enumerate(g.sorted_edges()):
+        bt[row, i], bt[row, j] = 1.0, -1.0
     return bt
 
 
@@ -102,10 +105,11 @@ def _residuals(x, bt, target):
     return diff, p, np.einsum("...i,...i->...", p, p)
 
 
-def _jacobian(diff, bt):
-    """Jacobian (c, m, n*d) of the residuals p with respect to the points."""
+def _jacobian(diff, bt2):
+    """Jacobian (c, m, n*d) of the residuals p with respect to the points,
+    read off the edge differences and the doubled incidence bt2 = 2 B^T."""
     c, m, d = diff.shape
-    return 2.0 * (bt[..., None] * diff[:, :, None, :]).reshape(c, m, bt.shape[-1] * d)
+    return (bt2[..., None] * diff[:, :, None, :]).reshape(c, m, bt2.shape[-1] * d)
 
 
 def objective(g: Graph, points: np.ndarray) -> float:
@@ -117,7 +121,7 @@ def gradient(g: Graph, points: np.ndarray) -> np.ndarray:
     x = np.asarray(points, dtype=float)[None]
     bt = _incidence(g)
     diff, p, _ = _residuals(x, bt, 1.0)
-    return (2.0 * p[:, None, :] @ _jacobian(diff, bt)).reshape(x.shape)[0]
+    return (2.0 * p[:, None, :] @ _jacobian(diff, 2.0 * bt)).reshape(x.shape)[0]
 
 
 def _run_batch(x, rows, owner, bt, target, cfg: SolverConfig, settle) -> None:
@@ -125,18 +129,23 @@ def _run_batch(x, rows, owner, bt, target, cfg: SolverConfig, settle) -> None:
 
     Row k carries its graph's padded incidence bt[k] and unit target
     target[k]. Every iteration takes one Levenberg-Marquardt trial step per
-    row, solving (J^T J + lambda I) delta = -J^T p. A step that lowers F is
-    taken and divides lambda by 10; any other step is refused and multiplies
-    it by 10. A row leaves the batch when F is 0, when a step is refused while
-    F is within TOL_RESIDUAL (converged to round-off), when lambda reaches
-    _LAMBDA_MAX (stalled), or after max_iters iterations. settle(graph,
-    restart, point, F) is then called, in row order among those leaving
-    together, and returns each graph's lowest restart index that can still
-    win; rows at or above their graph's bound are dropped.
+    row, x - (J^T J + lambda I)^-1 J^T p. A step that lowers F is taken and
+    divides lambda by 10; any other step is refused and multiplies it by 10.
+    A refused step leaves the point where it was, so J^T J and J^T p are
+    rebuilt only once some row has moved or left the batch; when every row
+    takes its step, the iteration takes the trial state whole. A row leaves
+    the batch when F is 0, when a step is refused while F is within
+    TOL_RESIDUAL (converged to round-off), when lambda reaches _LAMBDA_MAX
+    (stalled), or after max_iters iterations. settle(graph, restart, point,
+    F) is then called, in row order among those leaving together, and returns
+    each graph's lowest restart index that can still win; rows at or above
+    their graph's bound are dropped.
     """
     diff, p, f = _residuals(x, bt, target)
+    bt2 = 2.0 * bt
     lam = np.full(rows.size, _LAMBDA0)
     out = f == 0.0
+    stale = True  # J^T J and J^T p no longer describe the batch
     eye = np.eye(x.shape[1] * x.shape[2])
     for it in range(cfg.max_iters + 1):
         if it == cfg.max_iters:
@@ -145,22 +154,33 @@ def _run_batch(x, rows, owner, bt, target, cfg: SolverConfig, settle) -> None:
             for k in np.flatnonzero(out):
                 bound = settle(int(owner[k]), int(rows[k]), x[k], float(f[k]))
             keep = ~out & (rows < bound[owner])
-            x, diff, p, f, lam, rows, owner, bt, target = (
-                a[keep] for a in (x, diff, p, f, lam, rows, owner, bt, target))
-            if not rows.size:
+            if not np.count_nonzero(keep):
                 return
-        jac = _jacobian(diff, bt)
-        jt = jac.transpose(0, 2, 1)
-        normal = jt @ jac + lam[:, None, None] * eye
-        xn = x + np.linalg.solve(normal, -(jt @ p[..., None])).reshape(x.shape)
+            x, diff, p, f, lam, rows, owner, bt, bt2, target = (
+                a[keep] for a in (x, diff, p, f, lam, rows, owner, bt, bt2, target))
+            stale = True
+        if stale:
+            jac = _jacobian(diff, bt2)
+            jt = jac.transpose(0, 2, 1)
+            jtj, jtp = jt @ jac, jt @ p[..., None]
+        xn = x - np.linalg.solve(jtj + lam[:, None, None] * eye, jtp).reshape(x.shape)
         dn, pn, fn = _residuals(xn, bt, target)
         took = fn < f
+        moved = np.count_nonzero(took)  # cheaper than took.all() on a few rows
+        if moved == took.size:
+            # no step was refused and lambda fell, so only F == 0 ends a row
+            x, diff, p, f = xn, dn, pn, fn
+            lam = np.maximum(lam / 10.0, _LAMBDA_MIN)
+            out = f == 0.0
+            stale = True
+            continue
         x = np.where(took[:, None, None], xn, x)
         diff = np.where(took[:, None, None], dn, diff)
         p = np.where(took[:, None], pn, p)
         f = np.where(took, fn, f)
         lam = np.where(took, np.maximum(lam / 10.0, _LAMBDA_MIN), 10.0 * lam)
         out = (f == 0.0) | (~took & (f <= TOL_RESIDUAL)) | (lam >= _LAMBDA_MAX)
+        stale = moved > 0
 
 
 def solve_many(graphs, d: int, cfg: SolverConfig | None = None, faithful: bool = True) -> list:
@@ -203,8 +223,8 @@ def solve_many(graphs, d: int, cfg: SolverConfig | None = None, faithful: bool =
     while (live := np.flatnonzero(start < winner)).size:
         rows = np.arange(start, min(start + size, cfg.restarts))
         start, size = start + rows.size, min(2 * size, _CHUNK)
-        x = np.stack([INIT_SCALE * np.random.default_rng([cfg.seed, int(r)]).normal(size=(n, d))
-                      for r in rows])
+        x = INIT_SCALE * np.array([np.random.default_rng([cfg.seed, int(r)]).normal(size=(n, d))
+                                   for r in rows])
         owner = np.repeat(live, rows.size)
         _run_batch(np.tile(x, (live.size, 1, 1)), np.tile(rows, live.size), owner,
                    bts[owner], targets[owner], cfg, settle)

@@ -151,6 +151,19 @@ def test_census_removed_flags_are_usage_errors(capsys, flags):
     assert exc.value.code == 2 and "unrecognized arguments" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["realize", "--method", "numeric", "--dim", "2", "--seed", "-1"],
+    ["census", "--n", "3", "--dim", "2", "--seed", "-1"],
+], ids=["realize", "census"])
+def test_negative_seed_is_a_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"n": 3, "edges": [[0, 1]]}'))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "argument --seed" in err and "non-negative" in err and "Traceback" not in err
+
+
 def test_census_beyond_n6_exits_2(capsys, monkeypatch):
     code, out, err = _run(capsys, monkeypatch, ["census", "--n", "7", "--dim", "2"])
     assert code == 2

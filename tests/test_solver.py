@@ -125,6 +125,37 @@ def test_one_graph_solve_bytes_are_pinned():
         "fbacfe44d9ae6165f3387a3a009762687eb173c6abc72be68c39243175def8cf")
 
 
+def test_a_refused_step_does_not_rebuild_the_jacobian(monkeypatch):
+    # a refused step leaves every point where it was, so J^T J and J^T p carry
+    # over; _residuals runs once per batch and once per trial step
+    calls = {"_jacobian": 0, "_residuals": 0, "_run_batch": 0}
+    for name in calls:
+        def counting(*args, f=getattr(solver, name), name=name):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(solver, name, counting)
+    res = solve_faithful(make_complete(4), 2)
+    assert res.status == "NOT_FOUND" and res.restarts_used == 200
+    steps = calls["_residuals"] - calls["_run_batch"]
+    assert 0 < calls["_jacobian"] < steps, calls
+
+
+@pytest.mark.parametrize("field, value", [
+    ("restarts", 0), ("restarts", -2), ("max_iters", -1), ("seed", -1),
+])
+def test_config_rejects_values_out_of_range(field, value):
+    # unchecked, max_iters=-1 runs no step and reports every graph NOT_FOUND,
+    # and restarts=-2 fails inside numpy
+    with pytest.raises(ValueError, match=f"SolverConfig.{field} must be at least"):
+        SolverConfig(**{field: value})
+
+
+def test_config_accepts_its_least_values():
+    # no trial step: each restart settles where it was drawn
+    res = solve_faithful(Graph(2, []), 1, SolverConfig(restarts=1, max_iters=0, seed=0))
+    assert res.status == "FOUND" and res.restarts_used == 1
+
+
 def _serial_lm(x, ei, ej, max_iters):
     """Reference: one restart's Levenberg-Marquardt iteration, run on its own.
 
