@@ -6,6 +6,7 @@ import math
 from collections import Counter
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from udgraph.census import (
@@ -101,6 +102,38 @@ def test_orbit_sweep_matches_brute_force_labels(n, classes):
     assert canon == [_brute_canonical_mask(m, n) for m in range(1 << math.comb(n, 2))]
     assert len(set(canon)) == classes
     assert count_faithful(n, 1).config["isomorphism_classes"] == classes
+
+
+@pytest.fixture(scope="module")
+def canon7():
+    return _canonical_masks(7)
+
+
+def _canon_digest(canon):
+    return hashlib.sha256(json.dumps(canon).encode()).hexdigest()
+
+
+def test_orbit_sweep_bytes_are_pinned_at_n6():
+    canon = _canonical_masks(6)
+    assert len(set(canon)) == 156
+    assert _canon_digest(canon) == "5041175951654dad7b7ffbd72dd2ab3ac8c332a54550e588e7335683a8478084"
+
+
+def test_orbit_sweep_bytes_are_pinned_at_n7(canon7):
+    assert len(set(canon7)) == 1044
+    assert _canon_digest(canon7) == "158b9c7773131d7f11c7950167675bc513aaa21ff8b4d9e19a0603f5162c7ee2"
+
+
+def test_orbit_sweep_labels_are_least_at_n7(canon7):
+    # beyond brute force over all 2^21 masks: each label is a lower bound
+    # reached by its own class, and a dozen masks match the reference
+    canon = np.array(canon7)
+    assert (canon <= np.arange(canon.size)).all()
+    reps = np.unique(canon)
+    assert (canon[reps] == reps).all()
+    for mask in (0, 1, 1 << 20, (1 << 21) - 1, (1 << 21) - 2, 1916, 40565, 114036,
+                 259903, 452607, 454463, 454524, 1234567):
+        assert canon7[mask] == _brute_canonical_mask(mask, 7)
 
 
 def test_count_faithful_plane_n3():
