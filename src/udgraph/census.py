@@ -41,6 +41,7 @@ from .graphs import Graph
 from .solver import MARGIN_NONEDGE, TOL_RESIDUAL, SolverConfig, solve_many
 
 _MAX_CENSUS_N = 6
+_SCAN_WINDOW = 64  # masks the orbit sweep scans at once after a hit
 
 STATUS_REALIZABLE = "REALIZABLE"
 STATUS_NOT_REALIZABLE = "NOT_REALIZABLE"
@@ -211,20 +212,30 @@ def _canonical_masks(n: int) -> list:
     """The least mask isomorphic to each n-vertex mask, by an orbit sweep.
 
     Row p of the (n!, C(n,2)) weight table holds, for each pair, the bit
-    weight of its image under the p-th relabeling, so weight @ bits(mask)
-    lists every relabeled copy of mask. Masks are walked in ascending order,
-    so the first one not yet labelled is the least of its class and labels
-    all its images.
+    weight of its image under the p-th relabeling, read off a symmetric
+    (n, n) table of pair slots by indexing it with the permuted endpoints;
+    so weight @ bits(mask) lists every relabeled copy of mask. Masks are
+    walked in ascending order, so the first one not yet labelled is the
+    least of its class and labels all its images. The walk looks for that
+    mask in a window of canon, doubling the window while it finds none and
+    shrinking it back to _SCAN_WINDOW after each hit.
     """
-    pairs = _pairs(n)
-    index = {p: i for i, p in enumerate(pairs)}
-    weight = np.array([[1 << index[min(p[u], p[v]), max(p[u], p[v])] for u, v in pairs]
-                       for p in permutations(range(n))], dtype=np.int64)
-    shifts = np.arange(len(pairs))
-    canon = np.full(1 << len(pairs), -1)
-    for mask in range(canon.size):
-        if canon[mask] < 0:
+    u, v = np.array(_pairs(n), dtype=np.intp).reshape(-1, 2).T
+    slot = np.zeros((n, n), dtype=np.int64)
+    slot[u, v] = slot[v, u] = np.arange(u.size)
+    perms = np.array(list(permutations(range(n))), dtype=np.intp)
+    weight = 1 << slot[perms[:, u], perms[:, v]]
+    shifts = np.arange(u.size)
+    canon = np.full(1 << u.size, -1)
+    mask, w = 0, _SCAN_WINDOW
+    while mask < canon.size:
+        hits = np.flatnonzero(canon[mask:mask + w] < 0)
+        if hits.size:
+            mask += int(hits[0])
             canon[weight @ (mask >> shifts & 1)] = mask
+            mask, w = mask + 1, _SCAN_WINDOW
+        else:
+            mask, w = mask + w, 2 * w
     return canon.tolist()
 
 

@@ -256,6 +256,14 @@ def _seed(text: str) -> int:
     return value
 
 
+def _side_file(text: str) -> str:
+    """A side-file path: stdout already carries the command's JSON document,
+    so '-' is refused rather than written ahead of it."""
+    if text == "-":
+        raise argparse.ArgumentTypeError("'-' would mix into the JSON on stdout; name a file")
+    return text
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later
@@ -274,7 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--method", choices=["colorable", "bipartite", "numeric"], required=True)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("-o", "--output", default=None, help="write bare embedding JSON here")
+    p.add_argument("-o", "--output", type=_side_file, default=None,
+                   help="write bare embedding JSON here")
     p.set_defaults(func=_cmd_realize)
 
     p = sub.add_parser("verify", help="check an embedding against a graph")
@@ -294,7 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--semantics", choices=["faithful", "distance"], default="faithful")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--csv", default=None, help="also dump per-graph rows to this CSV file")
+    p.add_argument("--csv", type=_side_file, default=None,
+                   help="also dump per-graph rows to this CSV file")
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("bound", help="counting bounds")

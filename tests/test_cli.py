@@ -164,6 +164,21 @@ def test_negative_seed_is_a_usage_error(capsys, monkeypatch, argv):
     assert "argument --seed" in err and "non-negative" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["realize", "--method", "numeric", "--dim", "2", "-o", "-"], "argument -o/--output"),
+    (["census", "--n", "3", "--dim", "1", "--csv", "-"], "argument --csv"),
+], ids=["realize-output", "census-csv"])
+def test_side_file_on_stdout_is_a_usage_error(capsys, monkeypatch, argv, flag):
+    # stdout carries the command's one JSON document; a side file there would
+    # corrupt it for the next command in the pipe
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"n": 3, "edges": [[0, 1], [1, 2]]}'))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert flag in err and "stdout" in err and "Traceback" not in err
+
+
 def test_census_beyond_n6_exits_2(capsys, monkeypatch):
     code, out, err = _run(capsys, monkeypatch, ["census", "--n", "7", "--dim", "2"])
     assert code == 2
