@@ -335,6 +335,26 @@ def test_lenz_refutes_k33_below_dimension_four():
     assert _refuting_rule(k33, 4) is None
 
 
+# sha256 of the rows and the rule tally over the 1044 classes at n = 7:
+# 710 refuted in the plane, 170 in space and 7 in R^4
+_RULES_AT_N7 = {
+    2: ("a68b5fa166ef7b9cefec18b99a6061b63b109e023d201c4ac8c1ee75c428e9ee",
+        {"simplex": 359, "lenz": 41, "plane_rhombus": 310}),
+    3: ("d391ab3f8368bc3931a77700efcbc9ff1958c46b039afbc9139625a94dc9bd1e",
+        {"simplex": 58, "lenz": 112}),
+    4: ("82ffff5f85b655c013495afcb593f71814b81b767201fa539b63e8b0d0f163f7",
+        {"simplex": 7}),
+}
+
+
+@pytest.mark.parametrize("d", sorted(_RULES_AT_N7))
+def test_rule_table_is_pinned_at_n7(canon7, d):
+    digest, tally = _RULES_AT_N7[d]
+    rows = [_refuting_rule(_graph_of_mask(r, 7), d) for r in sorted(set(canon7))]
+    assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest() == digest
+    assert Counter(row["rule"] for row in rows if row is not None) == tally
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_rules_never_refute_a_solved_class(d):
     # soundness: a class with a verified faithful witness trips no rule
