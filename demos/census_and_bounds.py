@@ -55,7 +55,7 @@ for report in (faithful6, distance6):
 # a class that is a distance graph but not a faithful one separates the two
 # notions; while the faithful side is only an exhausted search, not a proof,
 # the class is a candidate
-orbits = Counter(faithful6.canon)
+orbits = Counter(faithful6.canon.tolist())
 pairs6 = list(combinations(range(6), 2))
 for rep, (status, method, _, _) in sorted(faithful6.classes.items()):
     if status != "REALIZABLE" and distance6.classes[rep][0] == "REALIZABLE":

@@ -11,12 +11,13 @@ distance obstruction refutes both.
 On the line the classifier is exact: a graph embeds in R^1 iff it is a
 disjoint union of paths. In higher dimension each isomorphism class first
 meets an ordered table of elementary obstructions (_RULES: simplex, lenz
-and, in the plane, the rhombus closure of the unit 4-cycles); a rule that
-fires is a proof, recorded on the class's row as {"rule", "params"}. Only a
-class no rule refutes reaches the numeric solver, whose witness is checked
-by verify and whose exhausted search is evidence, never proof; all those
-classes go to the solver as one batch (solver.solve_many). The method tag
-on every row keeps these three kinds of answer apart.
+and, in the plane, the rhombus closure of the unit 4-cycles), all three read
+off one search for complete multipartite subgraphs; a rule that fires is a
+proof, recorded on the class's row as {"rule", "params"}. Only a class no
+rule refutes reaches the numeric solver, whose witness is checked by verify
+and whose exhausted search is evidence, never proof; all those classes go
+to the solver as one batch (solver.solve_many). The method tag on every row
+keeps these three kinds of answer apart.
 
 Also provides the zero-pattern counting bound C(n(n-1), nd) on the number
 of faithfully realizable graphs and the Ramsey-style lower bound built on
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
@@ -92,22 +92,28 @@ def linear_forest_oracle(g: Graph) -> bool:
     return True
 
 
-def _contains_multipartite(g: Graph, sizes) -> bool:
-    """True when g contains a complete multipartite subgraph whose parts have
-    the given sizes: every vertex of a part is joined to every vertex of the
-    parts before it."""
+def _multipartite(g: Graph, sizes):
+    """Yield each copy in g of the complete multipartite graph with the given
+    part sizes once, as a tuple of increasing parts. Each part is drawn from
+    the common neighbourhood of the vertices chosen before it, an intersection
+    of neighbour sets; a part the size of the one before it starts above that
+    part's least vertex, so equal parts come in one order only."""
+    if sum(sizes) > g.n:  # no copy: build no neighbour sets
+        return
+    nbrs = [frozenset(nb) for nb in g.adjacency()]
 
-    def extend(chosen: tuple, pool: list, k: int) -> bool:
+    def extend(parts: tuple, pool: list):
+        k = len(parts)
         if k == len(sizes):
-            return True
-        for part in combinations(pool, sizes[k]):
-            if all(g.has_edge(x, y) for x in part for y in chosen):
-                rest = [v for v in pool if v not in part]
-                if extend(chosen + part, rest, k + 1):
-                    return True
-        return False
+            yield parts
+        elif len(pool) >= sum(sizes[k:]):
+            if k and sizes[k] == sizes[k - 1]:
+                pool = [v for v in pool if v > parts[-1][0]]
+            for part in combinations(pool, sizes[k]):
+                common = nbrs[part[0]].intersection(*(nbrs[v] for v in part[1:]))
+                yield from extend(parts + (part,), [v for v in pool if v in common])
 
-    return sum(sizes) <= g.n and extend((), list(range(g.n)), 0)
+    yield from extend((), list(range(g.n)))
 
 
 def is_krt_obstructed(g: Graph, d: int) -> bool:
@@ -121,12 +127,12 @@ def is_krt_obstructed(g: Graph, d: int) -> bool:
     edges), so the test only fires for d >= 2.
     """
     parts = d // 2 + 1
-    return parts >= 2 and _contains_multipartite(g, (3,) * parts)
+    return parts >= 2 and next(_multipartite(g, (3,) * parts), None) is not None
 
 
 def _simplex(g: Graph, d: int):
     """At most d + 1 points of R^d are pairwise at unit distance."""
-    return {"k": d + 2} if _contains_multipartite(g, (1,) * (d + 2)) else None
+    return {"k": d + 2} if next(_multipartite(g, (1,) * (d + 2)), None) else None
 
 
 def _lenz(g: Graph, d: int):
@@ -148,19 +154,18 @@ def _reduce(vec: list, rows: dict) -> list:
 def _plane_rhombus(g: Graph, d: int):
     """A unit 4-cycle a-b-c-e on distinct points of the plane is a rhombus: b
     and e are the two crossing points of the unit circles about a and c, so
-    x_a + x_c = x_b + x_e. The rule reduces one relation per 4-cycle, a its
-    least vertex, and fires when their whole span forces x_u = x_v for u != v;
-    its params give only the span's rank, a class invariant. K_{2,3} and a
-    neighbourhood no hexagon holds (unit chords span 60 degrees) are special cases."""
+    x_a + x_c = x_b + x_e. The rule reads each 4-cycle once, as the K_{2,2}
+    copy ((a, c), (b, e)) with a < b, reduces its relation, and fires when
+    their whole span forces x_u = x_v for u != v; its params give only the
+    span's rank, a class invariant. K_{2,3} and a neighbourhood no hexagon
+    holds (unit chords span 60 degrees) are special cases."""
     if d != 2:
         return None
     rows = {}
-    for a, c in combinations(range(g.n), 2):
-        common = [v for v in g.neighbors(a) if v > a and g.has_edge(v, c)]
-        for b, e in combinations(common, 2):
-            rel = _reduce([(v in (a, c)) - (v in (b, e)) for v in range(g.n)], rows)
-            if any(rel):
-                rows[next(i for i, x in enumerate(rel) if x)] = rel
+    for (a, c), (b, e) in _multipartite(g, (2, 2)):
+        rel = _reduce([(v in (a, c)) - (v in (b, e)) for v in range(g.n)], rows)
+        if any(rel):
+            rows[next(i for i, x in enumerate(rel) if x)] = rel
     forced = (not any(_reduce([(w == u) - (w == v) for w in range(g.n)], rows))
               for u, v in combinations(range(g.n), 2))
     return {"rank": len(rows)} if any(forced) else None
@@ -208,8 +213,9 @@ def _graph_of_mask(mask: int, n: int) -> Graph:
     return Graph(n, (p for i, p in enumerate(_pairs(n)) if mask >> i & 1))
 
 
-def _canonical_masks(n: int) -> list:
-    """The least mask isomorphic to each n-vertex mask, by an orbit sweep.
+def _canonical_masks(n: int) -> np.ndarray:
+    """The least mask isomorphic to each n-vertex mask, as an int64 array
+    indexed by mask, by an orbit sweep.
 
     Row p of the (n!, C(n,2)) weight table holds, for each pair, the bit
     weight of its image under the p-th relabeling, read off a symmetric
@@ -226,7 +232,7 @@ def _canonical_masks(n: int) -> list:
     perms = np.array(list(permutations(range(n))), dtype=np.intp)
     weight = 1 << slot[perms[:, u], perms[:, v]]
     shifts = np.arange(u.size)
-    canon = np.full(1 << u.size, -1)
+    canon = np.full(1 << u.size, -1, dtype=np.int64)
     mask, w = 0, _SCAN_WINDOW
     while mask < canon.size:
         hits = np.flatnonzero(canon[mask:mask + w] < 0)
@@ -236,7 +242,7 @@ def _canonical_masks(n: int) -> list:
             mask, w = mask + 1, _SCAN_WINDOW
         else:
             mask, w = mask + w, 2 * w
-    return canon.tolist()
+    return canon
 
 
 def _classify(reps: list, n: int, d: int, semantics: str, cfg: SolverConfig) -> dict:
@@ -286,22 +292,22 @@ class GraphEntry(NamedTuple):
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CensusReport:
     """Classification of the labelled graphs on n vertices in R^d.
 
-    The report holds one row per isomorphism class: canon[mask] is the least
-    mask of mask's class, and classes maps that least mask to the class's
-    (status, method, residual, rule). The labelled entries and the counts
-    are derived from these two. count_presumed_not is the complement of
-    count_realizable: it takes in the count_refuted graphs a proof rules out
-    as well as the SOLVER_EXHAUSTED ones.
+    The report holds one row per isomorphism class: canon, an int64 array,
+    holds at index mask the least mask of mask's class, and classes maps that
+    least mask to the class's (status, method, residual, rule). The labelled
+    entries and the counts are derived from these two. count_presumed_not is
+    the complement of count_realizable: it takes in the count_refuted graphs a
+    proof rules out as well as the SOLVER_EXHAUSTED ones.
     """
 
     n: int
     d: int
     semantics: str
-    canon: list
+    canon: np.ndarray
     classes: dict
     config: dict
 
@@ -310,12 +316,13 @@ class CensusReport:
         """One GraphEntry per labelled graph, in mask order, carrying its class's
         row; built on first access."""
         return tuple(GraphEntry(mask, edges, *self.classes[rep])
-                     for mask, (rep, edges) in enumerate(zip(self.canon, _edge_table(self.n))))
+                     for mask, (rep, edges) in enumerate(zip(self.canon.tolist(),
+                                                             _edge_table(self.n))))
 
     def _count(self, status: str) -> int:
         """Labelled graphs with the given status: orbit sizes summed over the classes."""
-        return sum(size for rep, size in Counter(self.canon).items()
-                   if self.classes[rep][0] == status)
+        size = np.bincount(self.canon)
+        return sum(int(size[rep]) for rep, row in self.classes.items() if row[0] == status)
 
     @property
     def count_realizable(self) -> int:
@@ -327,7 +334,7 @@ class CensusReport:
 
     @property
     def count_presumed_not(self) -> int:
-        return len(self.canon) - self.count_realizable
+        return self.canon.size - self.count_realizable
 
     @property
     def exact(self) -> bool:
@@ -371,7 +378,8 @@ def _run_census(n: int, d: int, semantics: str, cfg: SolverConfig, jobs: int) ->
         cfg = SolverConfig()
 
     canon = _canonical_masks(n)
-    classes = _classify(sorted(set(canon)), n, d, semantics, cfg)
+    reps = np.flatnonzero(canon == np.arange(canon.size))  # a least mask labels itself
+    classes = _classify(reps.tolist(), n, d, semantics, cfg)
     config = {
         "solver": {
             "restarts": cfg.restarts,

@@ -177,8 +177,13 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    # str(int) refuses more than sys.get_int_max_str_digits() digits (4300 by
+    # default; the bound has 7468 at n = 2000, d = 1); Decimal prints them all.
+    # Imported here, so the other commands do not load it.
+    import decimal
+
     value = zero_pattern_bound(args.n, args.dim)
-    sys.stdout.write(f"{value}\n")
+    sys.stdout.write(f"{decimal.Decimal(value)}\n")
     return 0
 
 

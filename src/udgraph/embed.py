@@ -269,6 +269,8 @@ def realize_hsystem(h: HSystem, eps: float = 0.01, seed: int = 0):
     that.) Returns (k, points) with points of shape (m, k+1); k never
     exceeds the subsequence guarantee s+1 of lemedge2_guarantee.
     """
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got eps={eps}")
     if h.m == 0:
         return 1, np.zeros((0, 2))
     for attempt in range(_MAX_RETRIES):

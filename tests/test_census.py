@@ -98,7 +98,7 @@ def _brute_canonical_mask(mask, n):
 
 @pytest.mark.parametrize("n, classes", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34)])
 def test_orbit_sweep_matches_brute_force_labels(n, classes):
-    canon = _canonical_masks(n)
+    canon = _canonical_masks(n).tolist()
     assert canon == [_brute_canonical_mask(m, n) for m in range(1 << math.comb(n, 2))]
     assert len(set(canon)) == classes
     assert count_faithful(n, 1).config["isomorphism_classes"] == classes
@@ -110,7 +110,7 @@ def canon7():
 
 
 def _canon_digest(canon):
-    return hashlib.sha256(json.dumps(canon).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(canon.tolist()).encode()).hexdigest()
 
 
 def test_orbit_sweep_bytes_are_pinned_at_n6():

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: piping, exit codes, determinism."""
 
 import contextlib
+import decimal
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from udgraph.census import zero_pattern_bound
 from udgraph.cli import _build_parser, main
 from udgraph.graphs import MAX_DOCUMENT_N, graph_from_dict
 
@@ -126,6 +128,17 @@ def test_bound_zero_pattern(capsys, monkeypatch):
     assert out.strip() == "495"
     code, _, err = _run(capsys, monkeypatch, ["bound", "zero-pattern", "--n", "2", "--dim", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("n, d", [(2000, 1), (1000, 2)])
+def test_bound_zero_pattern_prints_every_digit(capsys, monkeypatch, n, d):
+    # past Python's 4300-digit limit on str(int); int(out) would hit it too,
+    # so the exact value is compared through Decimal
+    argv = ["bound", "zero-pattern", "--n", str(n), "--dim", str(d)]
+    code, out, _ = _run(capsys, monkeypatch, argv)
+    assert code == 0
+    assert len(out.strip()) > 4300
+    assert decimal.Decimal(out) == decimal.Decimal(zero_pattern_bound(n, d))
 
 
 def test_census_command(capsys, monkeypatch, tmp_path):

@@ -154,6 +154,13 @@ def test_realize_rejects_full_conditions():
         realize_hsystem(HSystem(3, ((0, 1, 2),)))
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1, float("nan"), float("inf")])
+def test_realize_rejects_a_bad_eps(eps):
+    # before any sampling: a cap of width 0 or less, or not finite, is no cap
+    with pytest.raises(ValueError, match="eps"):
+        realize_hsystem(HSystem(5, ((0, 1), (0, 1, 2))), eps=eps)
+
+
 def test_realize_deterministic():
     h = HSystem(5, ((0, 1), (0, 1, 2)))
     k1, p1 = realize_hsystem(h, seed=9)
