@@ -1,5 +1,6 @@
 """Constructive embeddings: orthogonal circles, bipartite placement, H-systems."""
 
+import hashlib
 import json
 from itertools import combinations
 
@@ -604,6 +605,25 @@ def test_construction_bytes_match_the_loop_and_greedy_references(monkeypatch):
                         lambda pts: calls.append("s") or Sphere(*_minimal_sphere_reference(pts)))
     assert emit() == fast
     assert {"b", "s"} <= set(calls)
+
+
+def test_construction_bytes_are_pinned(monkeypatch):
+    # every criterion-2 embedding below and both audit reports are the bytes
+    # of their sphere geometry, so any change to the float operations of
+    # minimal_sphere, complementary_sphere or place_on_spheres must be
+    # deliberate; K_{2,5} in R^3 sends its full-degree neighbourhood (five
+    # points on a circle) down minimal_sphere's greedy path
+    greedy = []
+    monkeypatch.setattr("udgraph.geometry.affine_rank",
+                        lambda points: greedy.append(len(points)) or affine_rank(points))
+    docs = [embed_bipartite_faithful(_criterion_2_graph(i), 4, seed=i).to_json()
+            for i in range(5)]
+    docs.append(faithful_dim_audit(make_kprime(4), 5).to_json())
+    assert not greedy
+    docs.append(faithful_dim_audit(make_complete_multipartite([2, 5]), 3).to_json())
+    assert greedy and json.loads(docs[-1])["verdict"] == "REALIZABLE"
+    assert hashlib.sha256("\n".join(docs).encode()).hexdigest() == (
+        "012fb27e9e58233aeb46c89690dc1229f3fc26c7c7c65bd3bce21e9ce266df25")
 
 
 def test_subset_blocks_cover_combinations_in_order(monkeypatch):
