@@ -319,9 +319,14 @@ class CensusReport:
                      for mask, (rep, edges) in enumerate(zip(self.canon.tolist(),
                                                              _edge_table(self.n))))
 
+    @cached_property
+    def _orbit_sizes(self) -> np.ndarray:
+        """Entry rep is the size of rep's class: one np.bincount(canon) per report."""
+        return np.bincount(self.canon)
+
     def _count(self, status: str) -> int:
         """Labelled graphs with the given status: orbit sizes summed over the classes."""
-        size = np.bincount(self.canon)
+        size = self._orbit_sizes
         return sum(int(size[rep]) for rep, row in self.classes.items() if row[0] == status)
 
     @property

@@ -14,7 +14,8 @@ Three constructions live here:
   whose A-side degrees are at most d, in two parts. _b_cluster_ok accepts a
   small, nearly flat B cluster in general position; verified_witness then has
   place_on_spheres put every A vertex on the complementary sphere of its
-  neighborhood and passes the result through verify.accepts. Forced vertices
+  neighborhood (one stacked sphere pass per neighborhood size and per basis
+  rank) and passes the result through verify.accepts. Forced vertices
   (a center or a pole) are placed as their neighborhood group is reached;
   the rest are rejection sampled for a real margin between every non-edge
   and unit length, with one scalar draw first and then chunks of 2, 4,
@@ -26,7 +27,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from functools import lru_cache
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -34,8 +36,8 @@ from .geometry import (
     Sphere,
     affine_ranks,
     circumradii,
-    complementary_sphere,
-    minimal_sphere,
+    complementary_spheres,
+    minimal_spheres,
     sphere_point,
 )
 from .graphs import Graph, bipartition_of, greedy_coloring, neighborhoods_in
@@ -224,6 +226,14 @@ def _cap_sample(m: int, k: int, spread: float, rng: np.random.Generator) -> np.n
     raise RealizationError("could not sample distinct cap points")
 
 
+def _grouped(items, key) -> dict:
+    """{key(x): [x, ...]} over items, in their order."""
+    groups: dict = {}
+    for x in items:
+        groups.setdefault(key(x), []).append(x)
+    return groups
+
+
 def _conditions_hold(points: np.ndarray, conditions, upto: int) -> bool:
     """Every point outside each of the first upto conditions H raises the
     affine rank of H's points by one, i.e. avoids their affine hull.
@@ -232,11 +242,7 @@ def _conditions_hold(points: np.ndarray, conditions, upto: int) -> bool:
     (G, t) member sets, one over the G (m - t) sets H + {i} with i outside H.
     """
     m, dim = points.shape
-    by_size: dict = {}
-    for H in conditions[:upto]:
-        if H:
-            by_size.setdefault(len(H), []).append(H)
-    for t, group in by_size.items():
+    for t, group in _grouped(filter(None, conditions[:upto]), len).items():
         inside = np.array([sorted(H) for H in group])
         outside = np.array([[i for i in range(m) if i not in H] for H in group])
         members = points[inside]
@@ -330,11 +336,17 @@ _SUBSET_BLOCK = 4096  # subsets per stacked test; bounds memory on big clusters
 
 
 def _subset_blocks(m: int, t: int):
-    """The t-subsets of range(m) in combinations order, as (k, t) index
-    arrays of at most _SUBSET_BLOCK rows each."""
-    flat = chain.from_iterable(combinations(range(m), t))
-    while (block := np.fromiter(islice(flat, _SUBSET_BLOCK * t), dtype=np.intp)).size:
-        yield block.reshape(-1, t)
+    """The t-subsets of range(m) in combinations order, as read-only (k, t)
+    index arrays of at most _SUBSET_BLOCK rows each: views of _subsets(m, t)."""
+    subsets = _subsets(m, t)
+    return (subsets[i:i + _SUBSET_BLOCK] for i in range(0, len(subsets), _SUBSET_BLOCK))
+
+
+@lru_cache(maxsize=16)
+def _subsets(m: int, t: int) -> np.ndarray:
+    flat = np.fromiter(chain.from_iterable(combinations(range(m), t)), dtype=np.intp)
+    flat.flags.writeable = False
+    return flat.reshape(-1, t)
 
 
 def _b_cluster_ok(pts: np.ndarray, d: int) -> bool:
@@ -355,11 +367,8 @@ def _b_cluster_ok(pts: np.ndarray, d: int) -> bool:
     t = min(d + 1, m)  # pairs and single points are independent once 1e-3 apart
     if t >= 3 and any(np.any(affine_ranks(pts[sub]) != t - 1) for sub in _subset_blocks(m, t)):
         return False
-    if m >= d + 1:
-        for sub in _subset_blocks(m, d + 1):
-            if np.any(np.abs(circumradii(pts[sub]) - 1.0) < 1e-3):
-                return False
-    return True
+    return m < d + 1 or not any(np.any(np.abs(circumradii(pts[sub]) - 1.0) < 1e-3)
+                                for sub in _subset_blocks(m, d + 1))
 
 
 def _margins_ok(y: np.ndarray, others: np.ndarray) -> bool:
@@ -419,12 +428,28 @@ def _sphere_sample(comp: Sphere, others: np.ndarray,
     return None
 
 
+def _neighborhood_spheres(nbs, bpts: np.ndarray):
+    """(minimal, comps) for the nonempty nb in nbs: the minimal_spheres entry
+    of bpts[sorted(nb)], one pass per size, and its complementary sphere if
+    it has one, one pass per basis rank."""
+    minimal, comps = {}, {}
+    for group in _grouped(filter(None, nbs), len).values():
+        minimal.update(zip(group, minimal_spheres(bpts[[sorted(nb) for nb in group]])))
+    complemented = [nb for nb, ms in minimal.items() if isinstance(ms, Sphere)
+                    and ms.radius < 1.0 - 1e-9 and len(ms.basis) < bpts.shape[1]]
+    for group in _grouped(complemented, lambda nb: len(minimal[nb].basis)).values():
+        comps.update(zip(group, complementary_spheres([minimal[nb] for nb in group])))
+    return minimal, comps
+
+
 def place_on_spheres(nbhds: dict, bpts: np.ndarray,
                      rng: np.random.Generator) -> dict | None:
     """Place each vertex v at unit distance from the points bpts[nbhds[v]].
 
-    Neighborhood groups are taken in order of their first vertex. A
-    neighborhood whose minimal sphere has radius 1 spans a great sphere, and
+    Every group's spheres come first (_neighborhood_spheres), and groups are
+    then taken in order of their first vertex; a neighborhood on no common
+    sphere raises its ValueError only when reached. A neighborhood whose
+    minimal sphere has radius 1 spans a great sphere, and
     its one vertex goes to the center. A zero-dimensional complementary
     sphere offers two poles: a lone vertex takes the first that clears the
     margins, twins split them in vertex order. These forced vertices are
@@ -439,28 +464,29 @@ def place_on_spheres(nbhds: dict, bpts: np.ndarray,
     """
     m, dim = bpts.shape
     placed: dict = {}
+    rows = np.empty((len(nbhds), dim))  # the placed points, in placement order
 
     def surroundings(v) -> np.ndarray:
-        rows = [bpts[i] for i in range(m) if i not in nbhds[v]] + list(placed.values())
-        return np.asarray(rows).reshape(len(rows), dim)
+        outside = np.ones(m, dtype=bool)
+        outside[list(nbhds[v])] = False
+        return np.concatenate([bpts[outside], rows[:len(placed)]])
 
-    groups: dict = {}
-    for v in sorted(nbhds):
-        groups.setdefault(nbhds[v], []).append(v)
+    groups = _grouped(sorted(nbhds), nbhds.get)
+    minimal, comps = _neighborhood_spheres(groups, bpts)
     sampled = []
     for nb, verts in sorted(groups.items(), key=lambda kv: kv[1]):
         if not nb:
             sampled.extend((v, None) for v in verts)
             continue
-        ms = minimal_sphere(bpts[sorted(nb)])
+        if isinstance(ms := minimal[nb], ValueError):
+            raise ms
         if ms.radius >= 1.0 - 1e-9:
             if len(verts) > 1:
                 return None
             choices = [[ms.center]]
         else:
-            try:
-                comp = complementary_sphere(ms, dim)
-            except ValueError:  # the neighborhood spans R^dim
+            comp = comps.get(nb)
+            if comp is None:  # the neighborhood spans R^dim
                 return None
             if len(comp.basis) != 1:
                 sampled.extend((v, comp) for v in verts)
@@ -475,7 +501,7 @@ def place_on_spheres(nbhds: dict, bpts: np.ndarray,
             y = next((c for c in candidates if _margins_ok(c, others)), None)
             if y is None:
                 return None
-            placed[v] = y
+            rows[len(placed)] = placed[v] = y
 
     far = (bpts.mean(axis=0) if m else np.zeros(dim)) + 3.0 * np.eye(dim)[0]
     for v, comp in sorted(sampled, key=lambda vc: vc[0]):
@@ -487,7 +513,7 @@ def place_on_spheres(nbhds: dict, bpts: np.ndarray,
             y = next((y for y in draws if _margins_ok(y, others)), None)
         if y is None:
             return None
-        placed[v] = y
+        rows[len(placed)] = placed[v] = y
     return placed
 
 
@@ -531,10 +557,7 @@ def check_bipartite_preconditions(g: Graph, d: int):
         deg_bad = [(v, deg[v]) for v in side_a if deg[v] > d]
         if deg_bad:
             return ("degree", deg_bad)
-        groups = {}
-        for v in side_a:
-            if deg[v] == d:
-                groups.setdefault(frozenset(g.neighbors(v)), []).append(v)
+        groups = _grouped((v for v in side_a if deg[v] == d), lambda v: frozenset(g.neighbors(v)))
         twins = [vs for vs in groups.values() if len(vs) >= 3]
         if twins:
             return ("twins", twins)

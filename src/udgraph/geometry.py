@@ -7,10 +7,10 @@ sphere is a plain (center, radius, basis) tuple whose orthonormal basis rows
 span its flat; the minimal sphere of one point has radius 0 and an empty
 basis.
 
-The subset-wise general-position tests run on stacks: affine_ranks takes the
-affine rank of every set in a stack with one batched SVD (affine_rank is its
-K = 1 case), and circumradii the circumradius of every full-dimensional
-simplex in a stack with one batched linear solve.
+Stacks take one batched SVD or solve: affine_ranks (affine ranks),
+circumradii (of full-dimensional simplices), minimal_spheres (an SVD and a
+solve) and complementary_spheres (a full SVD); affine_rank, minimal_sphere and
+complementary_sphere are their K = 1 cases.
 """
 
 from __future__ import annotations
@@ -87,76 +87,88 @@ class Sphere(NamedTuple):
     basis: np.ndarray
 
 
-def _independent_frame(diffs: np.ndarray):
-    """The SVD frame vt of differences to a base point, or None if they are dependent."""
-    _, sv, vt = np.linalg.svd(diffs, full_matrices=False)
-    return vt if sv[0] > 0.0 and np.sum(sv > TOL_RANK * sv[0]) == len(diffs) else None
+def _spheres_through(stack: np.ndarray, diffs: np.ndarray) -> list:
+    """For each set of a (K, t, d) stack with first point p, the circumsphere
+    of p and p + diffs in their hull (in hull coordinates y_i the center
+    solves 2 (y_i - y_0) . c = |y_i - y_0|^2): a Sphere if every point of the
+    set lies on it within TOL_SPHERE, off the flat and off the radius alike,
+    else a ValueError; None where one stacked SVD finds diffs dependent."""
+    k, r, d = diffs.shape
+    ok, centers, radii, bases = np.ones(k, dtype=bool), stack[:, 0].copy(), np.zeros(k), diffs
+    if r:  # one point's sphere is itself, with an empty basis
+        _, sv, vt = np.linalg.svd(diffs, full_matrices=False)
+        ok = sv[:, -1] > TOL_RANK * sv[:, 0]
+        stack, diffs = stack[ok], diffs[ok]
+        # diffs spanning R^d keep ambient coordinates: rotating them into hull
+        # coordinates only adds rounding that the solve amplifies
+        bases = np.tile(np.eye(d), (len(diffs), 1, 1)) if r == d else vt[ok]
+        y = diffs @ bases.transpose(0, 2, 1)
+        c = np.linalg.solve(2.0 * y, (y * y).sum(axis=2)[..., None])
+        centers = stack[:, 0] + (bases.transpose(0, 2, 1) @ c)[..., 0]
+        radii = np.sqrt(c.transpose(0, 2, 1) @ c)[:, 0, 0]  # one dot each, as np.linalg.norm
+    rel = stack - centers[:, None]
+    flat = rel - (rel @ bases.transpose(0, 2, 1)) @ bases
+    on = ((np.sqrt((flat * flat).sum(axis=2)) <= TOL_SPHERE)
+          & (np.abs(np.sqrt((rel * rel).sum(axis=2)) - radii[:, None]) <= TOL_SPHERE))
+    spheres = iter([Sphere(*s) if on_it else ValueError("points do not lie on a common sphere")
+                    for *s, on_it in zip(centers, radii.tolist(), bases, on.all(axis=1).tolist())])
+    return [next(spheres) if solved else None for solved in ok.tolist()]
+
+
+def minimal_spheres(stack) -> list:
+    """Smallest sphere through each (t, d) set of a (K, t, d) stack: the
+    circumsphere, inside its affine hull, of a spanning subset, or a
+    ValueError where the set lies on no common sphere. Sets of at most d + 1
+    points whose differences to the first point pass the TOL_RANK test are
+    their own subsets, and one stacked solve reuses its SVD; any other set
+    extracts one greedily (first point, then each point raising the rank)."""
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3 or stack.shape[1] == 0:
+        raise ValueError("need a (K, t, d) stack of point sets with t >= 1")
+    k, t, d = stack.shape
+    solved = _spheres_through(stack, stack[:, 1:] - stack[:, :1]) if t <= d + 1 else [None] * k
+    return [_greedy_sphere(pts) if s is None else s for s, pts in zip(solved, stack)]
+
+
+def _greedy_sphere(pts: np.ndarray):
+    chosen = [0]
+    for j in range(1, len(pts)):
+        if affine_rank(pts[chosen + [j]]) == len(chosen):
+            chosen.append(j)
+    sphere = _spheres_through(pts[None], (pts[chosen[1:]] - pts[0])[None])[0]
+    return ValueError("spanning subset is affinely dependent") if sphere is None else sphere
 
 
 def minimal_sphere(points) -> Sphere:
-    """Smallest sphere through a point set that lies on a common sphere.
+    """The one-set case of minimal_spheres; raises its ValueError."""
+    if isinstance(sphere := minimal_spheres(as_points(points)[None])[0], ValueError):
+        raise sphere
+    return sphere
 
-    At most d + 1 points whose differences to the first point pass one SVD
-    rank test (TOL_RANK) are their own spanning subset, and the solve reuses
-    that SVD; otherwise one is extracted greedily (first point first, then
-    every point that raises the rank). The sphere is the circumsphere of that
-    subset, inside its affine hull: in hull coordinates y_i the center solves
-    2 (y_i - y_0) . c = |y_i - y_0|^2; a subset that spans R^d keeps its
-    ambient coordinates, as circumradii does. Every point must sit on it
-    within TOL_SPHERE, off its flat and off its radius alike. Raises
-    ValueError if the points are not concyclic.
-    """
-    pts = as_points(points)
-    n, d = pts.shape
-    if n == 0:
-        raise ValueError("need at least one point")
-    chosen = list(range(n))
-    vt = _independent_frame(pts[1:] - pts[0]) if 1 < n <= d + 1 else None
-    if vt is None and n > 1:
-        chosen = [0]
-        for i in range(1, n):
-            if affine_rank(pts[chosen + [i]]) == len(chosen):
-                chosen.append(i)
-        if len(chosen) > 1 and (vt := _independent_frame(pts[chosen[1:]] - pts[0])) is None:
-            raise ValueError("spanning subset is affinely dependent")
-    if len(chosen) == 1:
-        center, radius, basis = pts[0].copy(), 0.0, np.zeros((0, d))
-    else:
-        diffs = pts[chosen[1:]] - pts[0]
-        # a subset spanning R^d is solved in ambient coordinates: rotating it
-        # into hull coordinates only adds rounding that the solve amplifies
-        basis = np.eye(d) if len(diffs) == d else vt
-        y = diffs @ basis.T
-        c = np.linalg.solve(2.0 * y, np.sum(y * y, axis=1))
-        center = pts[0] + basis.T @ c
-        radius = float(np.linalg.norm(c))
-    rel = pts - center
-    off_flat = np.linalg.norm(rel - (rel @ basis.T) @ basis, axis=1)
-    off_radius = np.abs(np.linalg.norm(rel, axis=1) - radius)
-    if not (np.all(off_flat <= TOL_SPHERE) and np.all(off_radius <= TOL_SPHERE)):
-        raise ValueError("points do not lie on a common sphere")
-    return Sphere(center, radius, basis)
+
+def complementary_spheres(spheres) -> list:
+    """For each sphere s of a list whose bases share one (k, d) shape, all
+    points of R^d at unit distance from every point of s, from one full SVD
+    of the (K, k, d) stack of bases. For |x - p| = 1 to hold for all p on s,
+    x must sit over the center in the orthogonal complement of s's flat, at
+    height sqrt(1 - r^2): the sphere with s's center and radius
+    sqrt(1 - r^2) spanning that complement, of dimension d - k - 1. It is
+    empty, and ValueError is raised, when some r >= 1 or when k = d."""
+    bases = np.array([s.basis for s in spheres])
+    k, d = bases.shape[1:]
+    if any(s.radius >= 1.0 for s in spheres):
+        raise ValueError("complementary sphere requires radius < 1")
+    if k == d:
+        raise ValueError("a sphere spanning the ambient space has no complementary sphere")
+    comps = np.linalg.svd(bases)[2][:, k:] if k else [np.eye(d) for _ in spheres]
+    return [Sphere(s.center, math.sqrt(1.0 - s.radius**2), c) for s, c in zip(spheres, comps)]
 
 
 def complementary_sphere(s: Sphere, ambient_dim: int) -> Sphere:
-    """All points of R^ambient_dim at unit distance from every point of s.
-
-    For |x - p| = 1 to hold for all p on s, x must sit over the center in the
-    orthogonal complement of s's flat, at height sqrt(1 - r^2). The result is
-    the sphere with the same center, radius sqrt(1 - r^2), spanning that
-    complement: dimension ambient_dim - len(s.basis) - 1. The set is empty,
-    and ValueError is raised, when r >= 1 or when s's flat is all of
-    R^ambient_dim.
-    """
+    """The one-sphere case of complementary_spheres, in R^ambient_dim."""
     if len(s.center) != ambient_dim:
         raise ValueError("sphere does not live in the requested ambient space")
-    if s.radius >= 1.0:
-        raise ValueError("complementary sphere requires radius < 1")
-    k = len(s.basis)
-    if k == ambient_dim:
-        raise ValueError("a sphere spanning the ambient space has no complementary sphere")
-    comp = np.linalg.svd(s.basis, full_matrices=True)[2][k:] if k else np.eye(ambient_dim)
-    return Sphere(s.center, math.sqrt(1.0 - s.radius**2), comp)
+    return complementary_spheres([s])[0]
 
 
 def sphere_point(s: Sphere, rng: np.random.Generator) -> np.ndarray:

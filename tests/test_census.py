@@ -206,6 +206,22 @@ def test_entries_and_counts_expand_the_class_rows():
     assert any(e.method != "EXACT_ORACLE" for e in entries)
 
 
+def test_one_report_takes_its_orbit_sizes_once(monkeypatch):
+    # to_dict reads three counts (count_presumed_not reads count_realizable
+    # again), and every count sums the same orbit sizes, so one bincount over
+    # canon serves the report however often it is read
+    r = count_faithful(5, 2, _FAST)
+    calls = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
+    doc = r.to_dict()
+    assert len(calls) == 1
+    assert r.to_json() == json.dumps(doc, sort_keys=True)
+    assert (r.count_realizable, r.count_refuted, r.count_presumed_not) == (
+        doc["count_realizable"], doc["count_refuted"], doc["count_presumed_not"])
+    assert len(calls) == 1
+
+
 def test_count_distance_small_cases():
     assert count_distance(3, 1).count_realizable == 7  # K_3 needs the plane
     assert count_distance(3, 2, _FAST).count_realizable == 8  # includes K_3

@@ -588,8 +588,9 @@ def test_b_cluster_ok_tests_the_whole_set_below_d_plus_one():
 
 def test_construction_bytes_match_the_loop_and_greedy_references(monkeypatch):
     # one rank decision per general-position test moves no emitted byte: the
-    # per-size loop form of _b_cluster_ok and the greedy minimal sphere give
-    # the same criterion-2 embeddings and the same audit report
+    # per-size loop form of _b_cluster_ok and the greedy minimal sphere of
+    # each set in place of the stacked pass give the same criterion-2
+    # embeddings and the same audit report
     from test_geometry import _minimal_sphere_reference  # tests/ is on sys.path
 
     def emit():
@@ -601,8 +602,18 @@ def test_construction_bytes_match_the_loop_and_greedy_references(monkeypatch):
     calls = []
     monkeypatch.setattr("udgraph.embed._b_cluster_ok",
                         lambda pts, d: calls.append("b") or _b_cluster_ok_reference(pts, d))
-    monkeypatch.setattr("udgraph.embed.minimal_sphere",
-                        lambda pts: calls.append("s") or Sphere(*_minimal_sphere_reference(pts)))
+
+    def greedy_spheres(stack):
+        calls.append("s")
+        out = []
+        for pts in stack:
+            try:
+                out.append(Sphere(*_minimal_sphere_reference(pts)))
+            except ValueError as exc:
+                out.append(exc)
+        return out
+
+    monkeypatch.setattr("udgraph.embed.minimal_spheres", greedy_spheres)
     assert emit() == fast
     assert {"b", "s"} <= set(calls)
 
@@ -632,6 +643,14 @@ def test_subset_blocks_cover_combinations_in_order(monkeypatch):
     assert [len(b) for b in blocks] == [4, 4, 4, 4, 4]
     assert [tuple(r) for b in blocks for r in b] == list(combinations(range(6), 3))
     assert list(_subset_blocks(2, 3)) == []
+
+
+def test_subset_blocks_are_read_only_views_built_once():
+    # every _b_cluster_ok call of one cluster size reads the same index array
+    first, again = list(_subset_blocks(9, 5)), list(_subset_blocks(9, 5))
+    assert np.vstack(first).tolist() == [list(c) for c in combinations(range(9), 5)]
+    assert all(np.shares_memory(a, b) for a, b in zip(first, again))
+    assert not any(b.flags.writeable for b in first)
 
 
 @pytest.mark.parametrize("kind, expected", [

@@ -10,7 +10,9 @@ from udgraph.geometry import (
     as_points,
     circumradii,
     complementary_sphere,
+    complementary_spheres,
     minimal_sphere,
+    minimal_spheres,
     pairwise_distances,
     sphere_point,
 )
@@ -301,3 +303,70 @@ def test_minimal_sphere_rejects_a_point_off_the_flat():
     for fn in (minimal_sphere, _minimal_sphere_reference):
         with pytest.raises(ValueError, match="common sphere"):
             fn(pts)
+
+
+def _sphere_set(rng, kind, t, d):
+    """t points in R^d: "generic" (independent up to t = d + 1), on one
+    random circle ("concyclic", dependent from t = 4 on), with a repeated
+    point ("dependent"), or on a circle but one point nudged off it
+    ("off_sphere", on no common sphere from t = 4 on)."""
+    if kind == "generic":
+        return 0.3 * rng.normal(size=(t, d))
+    if d == 1:  # a line holds no circle: two points and repeats of them
+        pts = 0.3 * rng.normal(size=(t, 1))
+        pts[2:] = pts[rng.integers(0, 2, size=max(t - 2, 0))]
+        return pts
+    frame = np.linalg.qr(rng.normal(size=(d, d)))[0][:2]
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=t)
+    pts = rng.normal(size=d) + 0.4 * np.column_stack([np.cos(angles), np.sin(angles)]) @ frame
+    if kind == "dependent" and t >= 2:
+        pts[-1] = pts[0]
+    if kind == "off_sphere":
+        pts[-1] += 1e-3 * rng.normal(size=d)
+    return pts
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5), d=st.integers(1, 5),
+       extra=st.integers(0, 6),
+       kinds=st.lists(st.sampled_from(["generic", "concyclic", "dependent", "off_sphere"]),
+                      min_size=1, max_size=4))
+def test_stacked_spheres_equal_the_per_set_spheres(seed, k, d, extra, kinds):
+    # t = 1..d+1 points per set and beyond; a stack mixes full-dimensional,
+    # independent, dependent and non-concyclic sets, and every entry is the
+    # per-set sphere (or its ValueError) bit for bit
+    rng = np.random.default_rng(seed)
+    t = 1 + extra % (d + 2)
+    stack = np.stack([_sphere_set(rng, kinds[i % len(kinds)], t, d) for i in range(k)])
+    got = minimal_spheres(stack)
+    assert len(got) == k
+    by_rank: dict = {}
+    for pts, sphere in zip(stack, got):
+        try:
+            want = minimal_sphere(pts)
+        except ValueError as exc:
+            assert isinstance(sphere, ValueError) and str(sphere) == str(exc)
+            continue
+        assert sphere.radius == want.radius
+        assert np.array_equal(sphere.center, want.center)
+        assert np.array_equal(sphere.basis, want.basis)
+        if sphere.radius < 1.0 and len(sphere.basis) < d:
+            by_rank.setdefault(len(sphere.basis), []).append(sphere)
+    for group in by_rank.values():
+        for comp, s in zip(complementary_spheres(group), group):
+            want = complementary_sphere(s, d)
+            assert comp.radius == want.radius
+            assert np.array_equal(comp.center, want.center)
+            assert np.array_equal(comp.basis, want.basis)
+
+
+def test_complementary_spheres_reject_what_complementary_sphere_rejects():
+    pair = minimal_sphere([[-0.5, 0.0], [0.5, 0.0]])
+    wide = minimal_sphere([[-1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="radius < 1"):
+        complementary_spheres([pair, wide])
+    triangle = minimal_sphere([[0.0, 0.0], [0.3, 0.0], [0.0, 0.3]])
+    with pytest.raises(ValueError, match="spanning the ambient space"):
+        complementary_spheres([triangle])
+    with pytest.raises(ValueError, match="ambient space"):
+        complementary_sphere(pair, 3)
