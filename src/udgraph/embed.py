@@ -464,7 +464,7 @@ def place_on_spheres(nbhds: dict, bpts: np.ndarray,
     """
     m, dim = bpts.shape
     placed: dict = {}
-    rows = np.empty((len(nbhds), dim))  # the placed points, in placement order
+    rows = np.empty((len(nbhds), dim))  # placed points in order: rows[len(placed)] fills first
 
     def surroundings(v) -> np.ndarray:
         outside = np.ones(m, dtype=bool)
