@@ -189,6 +189,25 @@ def test_census_bytes_are_pinned():
         "9d39358b44618d15225aa80ab7706d78b8d77cea3a757278cb656b69d41f1b34")
 
 
+# sha256 of to_json() and of to_csv() for the solver-backed censuses: both
+# semantics at (5, 2), and the faithful plane census at n = 6
+_REPORT_DIGESTS = {
+    ("faithful", 5): ("94380a45bbaa2f517d797c21154af663eade2a08593f0510e53bce0f84d4277b",
+                      "7f8d5ab426c84fe74c547b4f8d84b89a66dd446d06d88a198c4a834c98ba3240"),
+    ("distance", 5): ("7db3a56f86dbf8de35207998fb6407efdc41eb9afc2720e350d62d9be1052fce",
+                      "7f8d5ab426c84fe74c547b4f8d84b89a66dd446d06d88a198c4a834c98ba3240"),
+    ("faithful", 6): ("8a6bf23e1f4600d427f3a1217ddb0426e54e8fb766aa7d5630c2c923f2196d41",
+                      "4a10ba637fe172987fcbd92b6480008b9564b8fc218692993769d692aec5c87a"),
+}
+
+
+def test_census_report_bytes_are_pinned_in_the_plane(census6):
+    for r in (count_faithful(5, 2), count_distance(5, 2), census6[2]):
+        digests = tuple(hashlib.sha256(text.encode()).hexdigest()
+                        for text in (r.to_json(), r.to_csv()))
+        assert digests == _REPORT_DIGESTS[r.semantics, r.n]
+
+
 def test_entries_and_counts_expand_the_class_rows():
     r = count_faithful(5, 2, _FAST)
     entries = r.entries
