@@ -281,16 +281,6 @@ class GraphEntry(NamedTuple):
     residual: float | None
     rule: dict | None = None  # the refuting {"rule", "params"} of a CERTIFIED_RULE entry
 
-    def to_dict(self) -> dict:
-        return {
-            "mask": self.mask,
-            "edges": [list(e) for e in self.edges],
-            "status": self.status,
-            "method": self.method,
-            "residual": self.residual,
-            "rule": self.rule,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class CensusReport:
@@ -298,8 +288,9 @@ class CensusReport:
 
     The report holds one row per isomorphism class: canon, an int64 array,
     holds at index mask the least mask of mask's class, and classes maps that
-    least mask to the class's (status, method, residual, rule). The labelled
-    entries and the counts are derived from these two. count_presumed_not is
+    least mask to the class's (status, method, residual, rule). The entries,
+    counts, JSON and CSV are read off these two (the writers never build
+    entries, which are a view for callers). count_presumed_not is
     the complement of count_realizable: it takes in the count_refuted graphs a
     proof rules out as well as the SOLVER_EXHAUSTED ones.
     """
@@ -311,13 +302,17 @@ class CensusReport:
     classes: dict
     config: dict
 
+    def _labelled(self):
+        """(mask, edges, rep) for every labelled graph in mask order, rep being
+        the least mask of its class: the one walk entries and the writers read."""
+        return zip(range(self.canon.size), _edge_table(self.n), self.canon.tolist())
+
     @cached_property
     def entries(self) -> tuple:
         """One GraphEntry per labelled graph, in mask order, carrying its class's
         row; built on first access."""
         return tuple(GraphEntry(mask, edges, *self.classes[rep])
-                     for mask, (rep, edges) in enumerate(zip(self.canon.tolist(),
-                                                             _edge_table(self.n))))
+                     for mask, edges, rep in self._labelled())
 
     @cached_property
     def _orbit_sizes(self) -> np.ndarray:
@@ -347,6 +342,7 @@ class CensusReport:
         return all(row[1] == METHOD_EXACT for row in self.classes.values())
 
     def to_dict(self) -> dict:
+        rows = {rep: dict(zip(GraphEntry._fields[2:], row)) for rep, row in self.classes.items()}
         return {
             "n": self.n,
             "d": self.d,
@@ -356,19 +352,21 @@ class CensusReport:
             "count_refuted": self.count_refuted,
             "exact": self.exact,
             "config": self.config,
-            "entries": [e.to_dict() for e in self.entries],
+            "entries": [{"mask": mask, "edges": list(map(list, edges)), **rows[rep]}
+                        for mask, edges, rep in self._labelled()],
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     def to_csv(self) -> str:
+        tails = {rep: ",".join((status, method,
+                                "" if residual is None else format(residual, ".17g"),
+                                "" if rule is None else rule["rule"]))
+                 for rep, (status, method, residual, rule) in self.classes.items()}
         lines = ["graph_id,edges,status,method,residual,rule"]
-        for e in self.entries:
-            edges = " ".join(f"{u}-{v}" for u, v in e.edges)
-            residual = "" if e.residual is None else format(e.residual, ".17g")
-            rule = "" if e.rule is None else e.rule["rule"]
-            lines.append(f"n{self.n}-mask{e.mask},{edges},{e.status},{e.method},{residual},{rule}")
+        lines += [f"n{self.n}-mask{mask},{' '.join(f'{u}-{v}' for u, v in edges)},{tails[rep]}"
+                  for mask, edges, rep in self._labelled()]
         return "\n".join(lines) + "\n"
 
 
