@@ -241,6 +241,17 @@ def test_one_report_takes_its_orbit_sizes_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_writers_read_the_class_rows_not_the_entries():
+    r = count_faithful(5, 2, _FAST)
+    text, csv = r.to_json(), r.to_csv()
+    assert "entries" not in vars(r)
+    # the entries view, built afterwards, holds the rows the writers wrote
+    assert json.loads(text)["entries"] == [
+        {**e._asdict(), "edges": [list(p) for p in e.edges]} for e in r.entries]
+    assert csv.splitlines()[1 + 1023] == "n5-mask1023,0-1 0-2 0-3 0-4 1-2 1-3 1-4 2-3 2-4 3-4," + (
+        f"{r.entries[1023].status},CERTIFIED_RULE,,simplex")
+
+
 def test_count_distance_small_cases():
     assert count_distance(3, 1).count_realizable == 7  # K_3 needs the plane
     assert count_distance(3, 2, _FAST).count_realizable == 8  # includes K_3
@@ -427,6 +438,34 @@ def test_rules_never_refute_a_solved_class_at_n6(census6, distance62):
                    if row[1] == "CERTIFIED_RULE"]
         assert len(refuted) >= 10
         assert all(res.status != "FOUND" for res in solve_many(refuted, d, cfg, faithful=False))
+
+
+def _card(mask, v, n):
+    """The subgraph of an n-vertex mask induced on every vertex but v, as an
+    (n - 1)-vertex mask with the vertices above v shifted down by one."""
+    slot = {p: i for i, p in enumerate(combinations(range(n - 1), 2))}
+    return sum(1 << slot[a - (a > v), b - (b > v)]
+               for i, (a, b) in enumerate(combinations(range(n), 2))
+               if mask >> i & 1 and v not in (a, b))
+
+
+def test_realizable_classes_are_hereditary_at_n6(census6, distance62):
+    # a distance realization realizes every subgraph on its points, and a
+    # faithful one every induced subgraph: the rules' refutations and the
+    # solver's witnesses must agree with both, read off canon alone
+    def realizable(r, mask):
+        return r.classes[int(r.canon[mask])][0] == "REALIZABLE"
+
+    found = [rep for rep in distance62.classes if realizable(distance62, rep)]
+    smaller = [rep & ~(1 << i) for rep in found for i in range(15) if rep >> i & 1]
+    assert len(found) == 85 and all(realizable(distance62, mask) for mask in smaller)
+    for r, cards, classes in ((census6[2], count_faithful(5, 2), 84),
+                              (census6[3], count_faithful(5, 3), 143),
+                              (distance62, count_distance(5, 2), 85)):
+        assert (cards.semantics, cards.d) == (r.semantics, r.d)
+        found = [rep for rep in r.classes if realizable(r, rep)]
+        assert len(found) == classes
+        assert all(realizable(cards, _card(rep, v, 6)) for rep in found for v in range(6))
 
 
 def _tally(report):
