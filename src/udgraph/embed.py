@@ -554,29 +554,23 @@ def check_bipartite_preconditions(g: Graph, d: int):
     deg = g.degrees()
 
     def violation(side_a):
+        """The PreconditionError side_a would raise as the A side, or None."""
         deg_bad = [(v, deg[v]) for v in side_a if deg[v] > d]
         if deg_bad:
-            return ("degree", deg_bad)
+            return PreconditionError(f"A-side degrees exceed d={d}: {deg_bad}", witness=deg_bad)
         groups = _grouped((v for v in side_a if deg[v] == d), lambda v: frozenset(g.neighbors(v)))
         twins = [vs for vs in groups.values() if len(vs) >= 3]
         if twins:
-            return ("twins", twins)
+            return PreconditionError(
+                f"three or more degree-{d} A vertices share a neighborhood: {twins}", witness=twins)
         return None
 
-    first = violation(a)
-    if first is None:
+    error = violation(a)
+    if error is None:
         return a, b
     if g.bipartition_a is None and violation(b) is None:
         return b, a
-    kind, witness = first
-    if kind == "degree":
-        raise PreconditionError(
-            f"A-side degrees exceed d={d}: {witness}", witness=witness
-        )
-    raise PreconditionError(
-        f"three or more degree-{d} A vertices share a neighborhood: {witness}",
-        witness=witness,
-    )
+    raise error
 
 
 def embed_bipartite_faithful(g: Graph, d: int, seed: int = 0) -> Embedding:

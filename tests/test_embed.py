@@ -246,13 +246,26 @@ def test_bipartite_preconditions():
     twins = Graph(7, [(a, 4 + b) for a in range(3) for b in range(3)] + [(3, 4)])
     with pytest.raises(PreconditionError) as exc:
         embed_bipartite_faithful(twins, 3, seed=0)
-    assert exc.value.witness is not None
+    assert str(exc.value) == (
+        "three or more degree-3 A vertices share a neighborhood: [[0, 1, 2]]")
+    assert exc.value.witness == [[0, 1, 2]]
     # not bipartite
     with pytest.raises(PreconditionError):
         embed_bipartite_faithful(make_complete(3), 3, seed=0)
     # dimension below the supported range
     with pytest.raises(PreconditionError):
         embed_bipartite_faithful(make_complete(2), 1, seed=0)
+
+
+def test_bipartite_preconditions_swap_sides_unless_a_is_stored():
+    # K_{1,3}: the BFS puts the centre on A, where its degree 3 exceeds d = 2;
+    # the leaves make a valid A side, so the sides swap unless A is stored
+    star = [(0, 1), (0, 2), (0, 3)]
+    assert check_bipartite_preconditions(Graph(4, star), 2) == ([1, 2, 3], [0])
+    with pytest.raises(PreconditionError) as exc:
+        check_bipartite_preconditions(Graph(4, star, bipartition_a={0}), 2)
+    assert str(exc.value) == "A-side degrees exceed d=2: [(0, 3)]"
+    assert exc.value.witness == [(0, 3)]
 
 
 def test_bipartite_faithful_nonedge_margin():
