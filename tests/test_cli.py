@@ -442,6 +442,42 @@ def test_realize_output_file_holds_bare_embedding(capsys, monkeypatch, tmp_path)
     assert json.loads(combined)["embedding"] == bare
 
 
+def test_numeric_realize_of_k4_in_the_plane_exits_1(capsys, monkeypatch):
+    _, graph_json, _ = _run(capsys, monkeypatch, ["gen", "complete", "4"])
+    code, out, _ = _run(capsys, monkeypatch, ["realize", "--method", "numeric", "--dim", "2"],
+                        stdin_text=graph_json)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "NOT_FOUND"
+    assert doc["restarts_used"] == 200 and doc["embedding"] is None
+
+
+def test_verify_reads_graph_and_embedding_files(capsys, monkeypatch, tmp_path):
+    graph, emb = str(tmp_path / "g.json"), str(tmp_path / "e.json")
+    assert _run(capsys, monkeypatch, ["gen", "complete", "3", "-o", graph])[0] == 0
+    code, _, _ = _run(capsys, monkeypatch, ["realize", "--graph", graph, "--dim", "2",
+                                            "--method", "numeric", "-o", emb])
+    assert code == 0
+    code, out, _ = _run(capsys, monkeypatch, ["verify", "--graph", graph, "--embedding", emb])
+    assert code == 0 and json.loads(out)["passed"] is True
+    # an embedding file alone names no graph
+    code, out, err = _run(capsys, monkeypatch, ["verify", "--embedding", emb])
+    assert code == 2 and out == ""
+    assert "--graph" in err and "Traceback" not in err
+
+
+def test_plot_projects_a_3d_embedding(capsys, monkeypatch, tmp_path):
+    _, graph_json, _ = _run(capsys, monkeypatch, ["gen", "complete", "4"])
+    code, combined, _ = _run(capsys, monkeypatch, ["realize", "--dim", "3", "--method", "numeric"],
+                             stdin_text=graph_json)
+    assert code == 0 and json.loads(combined)["embedding"]["dim"] == 3
+    out_path = tmp_path / "tetrahedron.svg"
+    code, _, err = _run(capsys, monkeypatch, ["plot", "-o", str(out_path)], stdin_text=combined)
+    assert code == 0 and err == ""
+    svg = out_path.read_text()
+    assert svg.count("<circle") == 4 and svg.count("<line") == 6 and "nan" not in svg
+
+
 def test_unknown_usage_exits_2(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["realize", "--method", "bogus"])
