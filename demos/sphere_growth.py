@@ -51,9 +51,9 @@ for cond in h.conditions:
     print("condition", sorted(cond), " flat rank", base,
           " outsiders raise it:", raised)
 
-# the rotation schedule keeps the cloud flat: step l rotates by
-# eps * 2^(-l-4), so the angles halve each step and sum to under eps/16; the
-# cloud is sampled in a cap of spread eps/2 and here ends under eps across
+# the rotation schedule keeps the cloud flat: each of the `steps` growth steps
+# rotates by eps/(4*steps), so the angles sum to eps/4; the cloud is sampled
+# in a cap of spread eps/2 and here ends under eps across
 for eps in (0.01, 0.2):
     _, cloud = realize_hsystem(h, eps=eps, seed=11)
     diam = max(np.linalg.norm(p - q) for p in cloud for q in cloud)

@@ -248,8 +248,8 @@ def test_writers_read_the_class_rows_not_the_entries():
     # the entries view, built afterwards, holds the rows the writers wrote
     assert json.loads(text)["entries"] == [
         {**e._asdict(), "edges": [list(p) for p in e.edges]} for e in r.entries]
-    assert csv.splitlines()[1 + 1023] == "n5-mask1023,0-1 0-2 0-3 0-4 1-2 1-3 1-4 2-3 2-4 3-4," + (
-        f"{r.entries[1023].status},CERTIFIED_RULE,,simplex")
+    assert csv.splitlines()[-1] == (
+        "n5-mask1023,0-1 0-2 0-3 0-4 1-2 1-3 1-4 2-3 2-4 3-4,NOT_REALIZABLE,CERTIFIED_RULE,,simplex")
 
 
 def test_count_distance_small_cases():
