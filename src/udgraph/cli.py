@@ -5,12 +5,13 @@ realize a graph by construction or numeric search, verify an embedding,
 audit faithful realizability at a queried dimension, run small censuses,
 evaluate counting bounds, and render an embedding to SVG.
 
-Conventions: graphs and embeddings travel as JSON documents; every
-subcommand reads its graph from --graph or stdin so commands pipe into
-each other; `realize` prints a combined {"graph": ..., "embedding": ...}
-document so the output pipes straight into `verify`. Exit status 0 means
-success or PASS, 1 means a verification FAIL, a NOT_REALIZABLE verdict,
-or a numeric search that came up empty, and 2 means a usage or I/O error.
+Conventions: graphs and embeddings travel as JSON documents, from a file or
+stdin, so commands pipe into each other. One reader (_read_doc) takes a
+graph, an embedding or the combined {"graph": ..., "embedding": ...}
+document that `realize` prints; each command uses the part it needs. Exit
+status 0 means success or PASS, 1 means a verification FAIL, a
+NOT_REALIZABLE verdict, or a numeric search that came up empty, and 2 means
+a usage or I/O error.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .embed import (
     embed_bipartite_faithful,
     embed_colorable,
     embedding_from_dict,
-    embedding_from_json,
 )
 from .graphs import (
     MAX_DOCUMENT_N,
@@ -65,27 +65,29 @@ def _write_text(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _load_graph(path: str | None) -> Graph:
+def _read_doc(path: str | None) -> tuple:
+    """(graph or None, embedding or None) from the document at path or on
+    stdin. A dict with an "embedding" key is a combined document, whose
+    graph is optional; a dict with "dim" or "points" is an embedding; anything
+    else is read as a graph. A malformed part raises ValueError."""
     doc = json.loads(_read_text(path))
-    if isinstance(doc, dict) and "graph" in doc and "embedding" in doc:
-        doc = doc["graph"]
-    return graph_from_dict(doc)
+    if isinstance(doc, dict) and "embedding" in doc:
+        g = graph_from_dict(doc["graph"]) if "graph" in doc else None
+        return g, embedding_from_dict(doc["embedding"])
+    if isinstance(doc, dict) and ("dim" in doc or "points" in doc):
+        return None, embedding_from_dict(doc)
+    return graph_from_dict(doc), None
 
 
-def _load_graph_and_embedding(args) -> tuple:
-    """Resolve graph and embedding from --graph/--embedding or a piped doc."""
-    if args.embedding is not None:
-        embedding = embedding_from_json(_read_text(args.embedding))
-        if args.graph is None:
-            raise ValueError("--embedding given without --graph and no piped document")
-        return _load_graph(args.graph), embedding
-    doc = json.loads(_read_text(args.graph or None))
-    if not isinstance(doc, dict) or "embedding" not in doc:
-        raise ValueError("no embedding found: pass --embedding or pipe a combined document")
-    embedding = embedding_from_dict(doc["embedding"])
-    if "graph" not in doc:
-        raise ValueError("combined document is missing its graph; pass --graph and --embedding")
-    return graph_from_dict(doc["graph"]), embedding
+def _part(part, name: str):
+    """part, or a ValueError naming what the input lacks."""
+    if part is None:
+        raise ValueError(f"the input holds no {name}; give a {name} or a combined document")
+    return part
+
+
+def _load_graph(path: str | None) -> Graph:
+    return _part(_read_doc(path)[0], "graph")
 
 
 def _combined_doc(g: Graph, emb: Embedding) -> str:
@@ -131,8 +133,7 @@ def _cmd_realize(args) -> int:
                 raise ValueError(
                     f"coloring construction needs dimension {emb.dim}, got --dim {args.dim}"
                 )
-            if args.dim > emb.dim:
-                emb = Embedding(args.dim, np.pad(emb.points, ((0, 0), (0, args.dim - emb.dim))))
+            emb = Embedding(args.dim, np.pad(emb.points, ((0, 0), (0, args.dim - emb.dim))))
     elif args.method == "bipartite":
         if args.dim is None:
             raise ValueError("--dim is required for method bipartite")
@@ -153,8 +154,12 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    g, emb = _load_graph_and_embedding(args)
-    report = verify(g, emb, mode=args.mode, tol=args.tol)
+    if args.embedding is not None and args.graph is None:
+        raise ValueError("--embedding needs --graph: the graph is not read from stdin")
+    g, emb = _read_doc(args.graph)
+    if args.embedding is not None:
+        emb = _read_doc(args.embedding)[1]
+    report = verify(_part(g, "graph"), _part(emb, "embedding"), mode=args.mode, tol=args.tol)
     sys.stdout.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
     return 0 if report.passed else 1
 
@@ -207,13 +212,8 @@ def _isometric(pts):
 
 
 def _cmd_plot(args) -> int:
-    doc = json.loads(_read_text(args.embedding))
-    graph = None
-    if isinstance(doc, dict) and "embedding" in doc:
-        if "graph" in doc:
-            graph = graph_from_dict(doc["graph"])
-        doc = doc["embedding"]
-    emb = embedding_from_dict(doc)
+    graph, emb = _read_doc(args.embedding)
+    emb = _part(emb, "embedding")
     # a graph's own edges, or else every pair at unit length; classify_pairs
     # also rejects a graph whose vertex count differs from the point count
     p = classify_pairs(graph, emb.points)

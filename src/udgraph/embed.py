@@ -51,6 +51,9 @@ B_DIAMETER = 0.1  # diameter of the sampled B-side cluster
 _SAMPLE_MARGIN = 2.5e-4  # rejection threshold, headroom over MARGIN_NONEDGE
 _WORKING_SEP = 1e-4  # working pairwise separation during placement
 _MAX_RETRIES = 50  # seeded attempts of realize_hsystem and embed_bipartite_faithful
+# a minimal sphere this large is a great sphere: its centre is the one point
+# at unit distance, and it has no complementary sphere (one value for both)
+_GREAT_SPHERE = 1.0 - 1e-9
 
 
 class PreconditionError(ValueError):
@@ -153,8 +156,6 @@ def embed_colorable(g: Graph, coloring=None) -> Embedding:
         coloring = greedy_coloring(g)
     classes = _check_coloring(g, coloring)
     k = len(classes)
-    if k == 0:
-        return Embedding(dim=0, points=np.zeros((0, 0)))
     points = np.zeros((g.n, 2 * k))
     for c, cls in enumerate(classes):
         points[cls, 2 * c : 2 * c + 2] = _circle_points(len(cls))
@@ -277,8 +278,6 @@ def realize_hsystem(h: HSystem, eps: float = 0.01, seed: int = 0):
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got eps={eps}")
-    if h.m == 0:
-        return 1, np.zeros((0, 2))
     for attempt in range(_MAX_RETRIES):
         rng = np.random.default_rng([seed, attempt])
         out = _realize_once(h, eps, rng)
@@ -359,8 +358,6 @@ def _b_cluster_ok(pts: np.ndarray, d: int) -> bool:
     Where the A vertices go is left to place_on_spheres and verified_witness.
     """
     m = pts.shape[0]
-    if m == 0:
-        return True
     dist = classify_pairs(None, pts).dist
     if dist.min(initial=np.inf) < 1e-3 or dist.max(initial=0.0) > B_DIAMETER:
         return False
@@ -429,14 +426,15 @@ def _sphere_sample(comp: Sphere, others: np.ndarray,
 
 
 def _neighborhood_spheres(nbs, bpts: np.ndarray):
-    """(minimal, comps) for the nonempty nb in nbs: the minimal_spheres entry
-    of bpts[sorted(nb)], one pass per size, and its complementary sphere if
-    it has one, one pass per basis rank."""
+    """(minimal, comps) for the nonempty nb in nbs: the minimal sphere of
+    bpts[sorted(nb)] where it has one, one pass per size, and its
+    complementary sphere if it has one, one pass per basis rank."""
     minimal, comps = {}, {}
     for group in _grouped(filter(None, nbs), len).values():
-        minimal.update(zip(group, minimal_spheres(bpts[[sorted(nb) for nb in group]])))
-    complemented = [nb for nb, ms in minimal.items() if isinstance(ms, Sphere)
-                    and ms.radius < 1.0 - 1e-9 and len(ms.basis) < bpts.shape[1]]
+        spheres = minimal_spheres(bpts[[sorted(nb) for nb in group]])
+        minimal.update((nb, ms) for nb, ms in zip(group, spheres) if isinstance(ms, Sphere))
+    complemented = [nb for nb, ms in minimal.items()
+                    if ms.radius < _GREAT_SPHERE and len(ms.basis) < bpts.shape[1]]
     for group in _grouped(complemented, lambda nb: len(minimal[nb].basis)).values():
         comps.update(zip(group, complementary_spheres([minimal[nb] for nb in group])))
     return minimal, comps
@@ -447,10 +445,9 @@ def place_on_spheres(nbhds: dict, bpts: np.ndarray,
     """Place each vertex v at unit distance from the points bpts[nbhds[v]].
 
     Every group's spheres come first (_neighborhood_spheres), and groups are
-    then taken in order of their first vertex; a neighborhood on no common
-    sphere raises its ValueError only when reached. A neighborhood whose
-    minimal sphere has radius 1 spans a great sphere, and
-    its one vertex goes to the center. A zero-dimensional complementary
+    then taken in order of their first vertex. A neighborhood whose minimal
+    sphere has radius 1 (_GREAT_SPHERE) spans a great sphere, and its one
+    vertex goes to the center. A zero-dimensional complementary
     sphere offers two poles: a lone vertex takes the first that clears the
     margins, twins split them in vertex order. These forced vertices are
     placed as their group is reached, so a failing one ends the call before
@@ -460,7 +457,7 @@ def place_on_spheres(nbhds: dict, bpts: np.ndarray,
     point must keep _WORKING_SEP from and _SAMPLE_MARGIN off unit distance
     to its non-neighbors in bpts and to everything placed before it. Returns
     {v: point in bpts' dimension}, or None when some vertex finds no place
-    or some neighborhood spans R^dim.
+    or some neighborhood lies on no common sphere or spans R^dim.
     """
     m, dim = bpts.shape
     placed: dict = {}
@@ -478,9 +475,9 @@ def place_on_spheres(nbhds: dict, bpts: np.ndarray,
         if not nb:
             sampled.extend((v, None) for v in verts)
             continue
-        if isinstance(ms := minimal[nb], ValueError):
-            raise ms
-        if ms.radius >= 1.0 - 1e-9:
+        if (ms := minimal.get(nb)) is None:  # the neighborhood lies on no common sphere
+            return None
+        if ms.radius >= _GREAT_SPHERE:
             if len(verts) > 1:
                 return None
             choices = [[ms.center]]

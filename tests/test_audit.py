@@ -99,6 +99,11 @@ def test_hsystem_of_rejects_nonbipartite():
         hsystem_of(make_complete(3))
 
 
+def test_hsystem_of_rejects_an_unknown_side():
+    with pytest.raises(ValueError, match="side must be"):
+        hsystem_of(make_complete_multipartite([2, 2]), side="C")
+
+
 def test_edge_sum_matches_edge_count():
     for g in (make_kdoubleprime(4), make_complete_multipartite([3, 3]), make_remark_graph(4)):
         assert edge_sum(hsystem_of(g)) == g.m

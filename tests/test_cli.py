@@ -243,6 +243,21 @@ def _with_points(dim, points):
         pytest.param(["audit", "--dim", "2"], _TRIANGLE, id="audit-not-bipartite"),
         pytest.param(["realize", "--method", "bipartite", "--dim", "2"], _TRIANGLE,
                      id="realize-not-bipartite"),
+        pytest.param(["audit", "--dim", "2"], {"n": 2, "edges": [[0, 1]], "bipartition_a": [5]},
+                     id="bipartition-vertex-out-of-range"),
+        pytest.param(["audit", "--dim", "2"],
+                     {"n": 3, "edges": [[0, 1], [1, 2]], "bipartition_a": [0, 1]},
+                     id="edge-inside-bipartition"),
+        *(pytest.param(["realize", "--method", method], _GRAPH_OK, id=f"{method}-without-dim")
+          for method in ("bipartite", "numeric")),
+        # K_2 takes two colour classes, so the coloring construction needs R^4
+        pytest.param(["realize", "--method", "colorable", "--dim", "3"], _GRAPH_OK,
+                     id="colorable-dim-below-coloring"),
+        pytest.param(["gen", "multipartite"], None, id="gen-multipartite-no-sizes"),
+        # a combined document is read whole, whichever part the command uses
+        *(pytest.param(argv, {"graph": _GRAPH_OK, "embedding": {"dim": 2}},
+                       id=f"{argv[0]}-malformed-embedding-part")
+          for argv in (["realize", "--method", "colorable"], ["audit", "--dim", "2"])),
         pytest.param(["audit", "--dim", "-1"], _GRAPH_OK, id="audit-negative-dim"),
         pytest.param(["census", "--n", "3", "--dim", "-1"], None, id="census-negative-dim"),
         pytest.param(["realize", "--method", "numeric", "--dim", "-1"], _GRAPH_OK,
@@ -454,16 +469,39 @@ def test_numeric_realize_of_k4_in_the_plane_exits_1(capsys, monkeypatch):
 
 def test_verify_reads_graph_and_embedding_files(capsys, monkeypatch, tmp_path):
     graph, emb = str(tmp_path / "g.json"), str(tmp_path / "e.json")
+    combined = tmp_path / "c.json"
     assert _run(capsys, monkeypatch, ["gen", "complete", "3", "-o", graph])[0] == 0
-    code, _, _ = _run(capsys, monkeypatch, ["realize", "--graph", graph, "--dim", "2",
-                                            "--method", "numeric", "-o", emb])
+    code, out, _ = _run(capsys, monkeypatch, ["realize", "--graph", graph, "--dim", "2",
+                                              "--method", "numeric", "-o", emb])
     assert code == 0
-    code, out, _ = _run(capsys, monkeypatch, ["verify", "--graph", graph, "--embedding", emb])
-    assert code == 0 and json.loads(out)["passed"] is True
+    combined.write_text(out)
+    # --embedding takes the bare file and realize's combined output alike
+    for embedding in (emb, str(combined)):
+        code, out, _ = _run(capsys, monkeypatch, ["verify", "--graph", graph,
+                                                  "--embedding", embedding])
+        assert code == 0 and json.loads(out)["passed"] is True
+    # a graph file given as the embedding holds none
+    code, out, err = _run(capsys, monkeypatch, ["verify", "--graph", graph, "--embedding", graph])
+    assert (code, out) == (2, "") and "no embedding" in err
     # an embedding file alone names no graph
     code, out, err = _run(capsys, monkeypatch, ["verify", "--embedding", emb])
     assert code == 2 and out == ""
     assert "--graph" in err and "Traceback" not in err
+
+
+_BARE_EMBEDDING = {"dim": 1, "points": [[0.0], [1.0]]}
+
+
+@pytest.mark.parametrize("argv, doc, part", [
+    (["verify"], _GRAPH_OK, "embedding"),
+    (["plot", "-o", os.devnull], _GRAPH_OK, "embedding"),
+    (["realize", "--method", "colorable"], _BARE_EMBEDDING, "graph"),
+    (["audit", "--dim", "2"], _BARE_EMBEDDING, "graph"),
+], ids=["verify", "plot", "realize", "audit"])
+def test_a_document_without_the_needed_part_exits_2(capsys, monkeypatch, argv, doc, part):
+    code, out, err = _run(capsys, monkeypatch, argv, stdin_text=json.dumps(doc))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"udgraph: error: the input holds no {part};")
 
 
 def test_plot_projects_a_3d_embedding(capsys, monkeypatch, tmp_path):

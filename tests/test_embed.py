@@ -83,6 +83,8 @@ def test_embed_colorable_rejects_improper():
     g = make_complete(3)
     with pytest.raises(PreconditionError):
         embed_colorable(g, [[0, 1], [2]])
+    with pytest.raises(PreconditionError, match="partition"):
+        embed_colorable(g, [[0], [1]])
 
 
 def test_embedding_validation_and_json():
@@ -120,6 +122,8 @@ def test_hsystem_sorting_and_s():
     assert h.s == 0
     with pytest.raises(ValueError):
         HSystem(3, ((0, 3),))  # index out of range
+    with pytest.raises(ValueError, match="nonnegative"):
+        HSystem(m=-1)
 
 
 def test_realize_no_conditions_is_circle():
@@ -480,6 +484,15 @@ def test_place_on_spheres_structural_failures():
     bpts = np.array([[-0.5, 0.0], [0.5, 0.0]])
     assert place_on_spheres({0: both, 1: both, 2: both}, bpts, rng) is None
     assert place_on_spheres({0: both, 1: both}, bpts, rng) is not None
+
+
+def test_place_on_spheres_returns_none_for_a_neighborhood_on_no_sphere():
+    # three collinear points lie on no common sphere; their group comes first
+    bpts = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError):
+        minimal_sphere(bpts)
+    nbhds = {0: frozenset({0, 1, 2}), 1: frozenset({0})}
+    assert place_on_spheres(nbhds, bpts, np.random.default_rng(0)) is None
 
 
 def test_failing_forced_pole_ends_placement_before_later_groups():

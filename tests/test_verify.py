@@ -68,6 +68,8 @@ def test_verify_embedding_object_and_size_mismatch():
     assert verify(g, emb, mode="distance").passed
     with pytest.raises(ValueError):
         verify(make_complete(3), emb)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        verify(g, emb, mode="x")
 
 
 def test_induced_udg_recovers_square_cycle():
