@@ -174,6 +174,33 @@ def test_realize_deterministic():
     np.testing.assert_array_equal(p1, p2)
 
 
+@pytest.mark.parametrize("h, eps, seed, digest", [
+    # no condition: the first cap alone
+    (HSystem(4, ()), 0.01, 0,
+     "6206b3ad4541040e702be320125e3511c21dea5ec0fd7a1ac1bf62fd913e0a0c"),
+    # small conditions only: two cap resamples on the circle
+    (HSystem(5, ((0, 1), (2, 3))), 0.2, 3,
+     "90fbec13a5fc1385039fa6b1a4673401c814c97de5044fe2a6b4fc7a56622222"),
+    # one growth step
+    (HSystem(4, ((0, 1, 2),)), 0.01, 0,
+     "b535f515e34d8413176697bc84d8e1640f39fce3983e80ec8a43b6166f6cb385"),
+    # a cap resample on S^2 after a growth step
+    (HSystem(5, ((0, 1, 2), (1, 2, 3))), 0.2, 7,
+     "443be46d9b1ee292cc30c51d0c7640b75110e8b3c55b66cda303c6a5f20f6bce"),
+    # two growth steps
+    (HSystem(6, ((0, 1, 2), (1, 2, 3, 4))), 0.01, 4,
+     "3e3c74dafaa7ffde555c7ee3ca821bba2628bb9584ac98637006c6c2bdd59987"),
+    # resample, growth, resample, growth
+    (HSystem(6, ((0, 1), (0, 1, 2), (2, 3, 4), (1, 2, 3, 4))), 0.2, 11,
+     "e031ef4ea9ea3c6cf448e4e8144add8fd36fde1c672c35a5042b7f53f822aa2b"),
+])
+def test_realize_hsystem_bytes_are_pinned(h, eps, seed, digest):
+    # the audit's witnesses are built on these clouds, so a change to how
+    # realize_hsystem draws or steps must be deliberate
+    k, pts = realize_hsystem(h, eps=eps, seed=seed)
+    assert hashlib.sha256(str(k).encode() + pts.tobytes()).hexdigest() == digest
+
+
 def test_growth_dimension_examples():
     assert growth_dimension(()) == 1
     assert growth_dimension((3,)) == 2
