@@ -50,7 +50,7 @@ B_DIAMETER = 0.1  # diameter of the sampled B-side cluster
 
 _SAMPLE_MARGIN = 2.5e-4  # rejection threshold, headroom over MARGIN_NONEDGE
 _WORKING_SEP = 1e-4  # working pairwise separation during placement
-_MAX_RETRIES = 50  # seeded attempts of realize_hsystem and embed_bipartite_faithful
+_MAX_RETRIES = 50  # seeded attempts of embed_bipartite_faithful
 # a minimal sphere this large is a great sphere: its centre is the one point
 # at unit distance, and it has no complementary sphere (one value for both)
 _GREAT_SPHERE = 1.0 - 1e-9
@@ -65,7 +65,7 @@ class PreconditionError(ValueError):
 
 
 class RealizationError(RuntimeError):
-    """All retries exhausted without a numerically valid realization."""
+    """A construction found no numerically valid realization for its seed(s)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,6 +106,8 @@ def embedding_from_dict(d) -> Embedding:
         raise ValueError(f"embedding 'dim' must be a nonnegative integer, got {dim!r}")
     if not isinstance(pts, list) or not all(isinstance(row, list) for row in pts):
         raise ValueError("embedding 'points' must be a 2-D list")
+    if len({len(row) for row in pts}) > 1:
+        raise ValueError("embedding 'points' rows differ in length")
     if not all(type(v) in (int, float) for row in pts for v in row):
         raise ValueError("embedding coordinates must be numbers")
     try:
@@ -235,15 +237,15 @@ def _grouped(items, key) -> dict:
     return groups
 
 
-def _conditions_hold(points: np.ndarray, conditions, upto: int) -> bool:
-    """Every point outside each of the first upto conditions H raises the
-    affine rank of H's points by one, i.e. avoids their affine hull.
+def _conditions_hold(points: np.ndarray, conditions) -> bool:
+    """Every point outside each condition H raises the affine rank of H's
+    points by one, i.e. avoids their affine hull.
 
     Conditions of one size t share two stacked rank tests: one over the
     (G, t) member sets, one over the G (m - t) sets H + {i} with i outside H.
     """
     m, dim = points.shape
-    for t, group in _grouped(filter(None, conditions[:upto]), len).items():
+    for t, group in _grouped(filter(None, conditions), len).items():
         inside = np.array([sorted(H) for H in group])
         outside = np.array([[i for i in range(m) if i not in H] for H in group])
         members = points[inside]
@@ -258,54 +260,42 @@ def _conditions_hold(points: np.ndarray, conditions, upto: int) -> bool:
 
 
 def realize_hsystem(h: HSystem, eps: float = 0.01, seed: int = 0):
-    """Realize the conditions by m distinct points on a unit sphere S^k.
+    """Realize the conditions by m distinct points on a unit sphere S^k, in
+    one pass from one seeded draw.
 
     Starts on the circle (k = 1) and walks the conditions in nondecreasing
-    size order. A condition of size at most k+1 is satisfiable in general
-    position, so the whole cloud is resampled as a flat cap and rechecked.
-    A larger condition forces k to grow by one: a fresh coordinate is added
-    and every point is rotated into it by the angle phi, positively for
-    members of the condition and negatively for the rest, which parks the
-    members on a hyperplane the others provably avoid. growth_dimension
-    fixes the number of growth steps in advance, so every step uses the same
+    size order. A condition of size at most k+1 holds in general position,
+    so the whole cloud is resampled once as a flat cap. A larger condition
+    forces k to grow by one: a fresh coordinate is added and every point is
+    rotated into it by the angle phi, positively for members of the
+    condition and negatively for the rest, which parks the members on a
+    hyperplane the others provably avoid. growth_dimension fixes the number
+    of growth steps in advance, so every step uses the same
     phi = eps / (4 * steps) and the angles sum to eps/4. The cap on the
     circle has chordal diameter at most eps/2 and each step moves two points
     apart by at most 2 * phi, so the cloud's chordal diameter stays within
     eps/2 + 2 * eps/4 = eps. (A resample after a growth step draws its cap
     on S^k, up to (eps/2) * sqrt(k) across, and only the later steps add to
-    that.) Returns (k, points) with points of shape (m, k+1); k never
-    exceeds the subsequence guarantee s+1 of lemedge2_guarantee.
+    that.) Every condition is checked once, on the finished cloud; a failure
+    raises RealizationError naming the seed, and callers retry with another.
+    Returns (k, points) with points of shape (m, k+1); k never exceeds the
+    subsequence guarantee s+1 of lemedge2_guarantee.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got eps={eps}")
-    for attempt in range(_MAX_RETRIES):
-        rng = np.random.default_rng([seed, attempt])
-        out = _realize_once(h, eps, rng)
-        if out is not None:
-            return out
-    raise RealizationError(
-        f"H-system realization failed numerically after {_MAX_RETRIES} attempts"
-    )
-
-
-def _realize_once(h: HSystem, eps: float, rng: np.random.Generator):
+    rng = np.random.default_rng([seed, 0])
     k = 1
     phi = eps / (4.0 * max(growth_dimension(h.sizes) - 1, 1))
     pts = _cap_sample(h.m, k, eps / 2.0, rng)
-    for l, H in enumerate(h.conditions, start=1):
+    for H in h.conditions:
         if len(H) >= k + 2:
             k += 1
             signs = np.array([1.0 if i in H else -1.0 for i in range(h.m)])
             pts = np.hstack([math.cos(phi) * pts, math.sin(phi) * signs[:, None]])
-            if not _conditions_hold(pts, h.conditions, l):
-                return None
         else:
-            for _ in range(50):
-                pts = _cap_sample(h.m, k, eps / 2.0, rng)
-                if _conditions_hold(pts, h.conditions, l):
-                    break
-            else:
-                return None
+            pts = _cap_sample(h.m, k, eps / 2.0, rng)
+    if not _conditions_hold(pts, h.conditions):
+        raise RealizationError(f"H-system realization failed its conditions (seed {seed})")
     return k, pts
 
 

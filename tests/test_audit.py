@@ -19,7 +19,7 @@ from udgraph.audit import (
     lemedge_bound,
 )
 from udgraph.census import _canonical_masks, _graph_of_mask
-from udgraph.embed import MARGIN_NONEDGE, HSystem
+from udgraph.embed import MARGIN_NONEDGE, HSystem, RealizationError, realize_hsystem
 from udgraph.graphs import (
     Graph,
     make_complete,
@@ -196,6 +196,23 @@ def test_audit_kprime_tight_dimensions():
         g = make_kprime(d)
         assert faithful_dim_audit(g, d).verdict == "NOT_REALIZABLE"
     r = faithful_dim_audit(make_kprime(4), 5)
+    assert r.verdict == "REALIZABLE"
+    assert verify(make_kprime(4), r.embedding, mode="faithful", tol=1e-7).passed
+
+
+def test_construct_side_goes_past_a_failed_realization(monkeypatch):
+    # realize_hsystem makes one attempt per seed; the construction retries
+    seeds = []
+
+    def fail_first(h, eps, seed):
+        seeds.append(seed)
+        if len(seeds) == 1:
+            raise RealizationError(f"H-system realization failed its conditions (seed {seed})")
+        return realize_hsystem(h, eps=eps, seed=seed)
+
+    monkeypatch.setattr(audit, "realize_hsystem", fail_first)
+    r = faithful_dim_audit(make_kprime(4), 5)
+    assert seeds[:2] == [seeds[0], seeds[0] + 1]
     assert r.verdict == "REALIZABLE"
     assert verify(make_kprime(4), r.embedding, mode="faithful", tol=1e-7).passed
 

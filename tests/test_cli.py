@@ -234,6 +234,7 @@ def _with_points(dim, points):
         (["verify"], {"graph": _GRAPH_OK, "embedding": {"dim": 2}}),
         pytest.param(["verify"], _with_points(1, [[0.0], [float("nan")]]), id="nan-points"),
         pytest.param(["verify"], _with_points(2, [[0.0, 0.0], [1.0]]), id="ragged-points"),
+        pytest.param(["verify"], _with_points(5, [[1], []]), id="ragged-points-empty-row"),
         pytest.param(["verify"], _with_points(3, [[0.0, 0.0], [1.0, 0.0]]), id="dim-mismatch"),
         pytest.param(["verify"], _with_points(2, [[0, 0], [True, 0]]), id="boolean-coordinate"),
         pytest.param(["verify"], _with_points(1, [[0], [10**400]]), id="huge-integer-coordinate"),

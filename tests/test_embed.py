@@ -116,6 +116,16 @@ def test_embedding_from_json_rejects_non_numeric_coordinates(points):
         embedding_from_json(json.dumps({"dim": 2, "points": points}))
 
 
+@pytest.mark.parametrize("dim, points, message", [
+    (2, [[0, 0], [1]], "embedding 'points' rows differ in length"),
+    (5, [[1], []], "embedding 'points' rows differ in length"),
+    (3, [[0, 0], [1, 0]], "points are 2-dimensional, dim says 3"),
+])
+def test_embedding_from_json_names_a_points_shape_error(dim, points, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        embedding_from_json(json.dumps({"dim": dim, "points": points}))
+
+
 def test_hsystem_sorting_and_s():
     h = HSystem(4, ((0, 1, 2), (3,), (0, 1)))
     assert tuple(h.sizes) == (1, 2, 3)
@@ -201,6 +211,26 @@ def test_realize_hsystem_bytes_are_pinned(h, eps, seed, digest):
     assert hashlib.sha256(str(k).encode() + pts.tobytes()).hexdigest() == digest
 
 
+def test_realize_hsystem_checks_its_conditions_once(monkeypatch):
+    # one check of every condition on the finished cloud, not one per step
+    calls = []
+    monkeypatch.setattr("udgraph.embed._conditions_hold",
+                        lambda pts, conds: calls.append(len(conds)) or _conditions_hold(pts, conds))
+    h = HSystem(6, ((0, 1), (0, 1, 2), (2, 3, 4), (1, 2, 3, 4)))
+    realize_hsystem(h, eps=0.2, seed=11)
+    assert calls == [4]
+
+
+def test_realize_hsystem_raises_after_one_failed_check(monkeypatch):
+    # the retries are the callers': one seed gets one draw and one check
+    calls = []
+    monkeypatch.setattr("udgraph.embed._conditions_hold",
+                        lambda pts, conds: calls.append(1) or False)
+    with pytest.raises(RealizationError, match=r"\(seed 5\)"):
+        realize_hsystem(HSystem(5, ((0, 1), (0, 1, 2))), seed=5)
+    assert len(calls) == 1
+
+
 def test_growth_dimension_examples():
     assert growth_dimension(()) == 1
     assert growth_dimension((3,)) == 2
@@ -255,6 +285,29 @@ def test_bipartite_faithful_k33_minus_matching():
     emb = embed_bipartite_faithful(g, 3, seed=0)
     assert emb.dim == 3
     assert verify(g, emb, mode="faithful", tol=1e-7).passed
+
+
+def test_bipartite_faithful_retries_after_a_rejected_cluster(monkeypatch):
+    # the first seeded B cluster is refused, and the next attempt's is used
+    calls = []
+
+    def reject_first(pts, d):
+        calls.append(len(calls) > 0 and _b_cluster_ok(pts, d))
+        return calls[-1]
+
+    monkeypatch.setattr("udgraph.embed._b_cluster_ok", reject_first)
+    g = Graph(6, [(i, 3 + j) for i in range(3) for j in range(3) if i != j])
+    emb = embed_bipartite_faithful(g, 3, seed=0)
+    assert calls[:2] == [False, True]
+    assert verify(g, emb, mode="faithful", tol=1e-7).passed
+
+
+def test_bipartite_faithful_gives_up_after_its_attempts(monkeypatch):
+    monkeypatch.setattr("udgraph.embed._b_cluster_ok", lambda pts, d: False)
+    g = Graph(6, [(i, 3 + j) for i in range(3) for j in range(3) if i != j])
+    with pytest.raises(RealizationError,
+                       match=r"^faithful embedding failed after 50 attempts \(seed 3\)$"):
+        embed_bipartite_faithful(g, 3, seed=3)
 
 
 def test_bipartite_faithful_kprime_in_r5():
@@ -543,9 +596,9 @@ def test_failing_forced_pole_ends_placement_before_later_groups():
 # the stacked general-position tests against per-subset loops
 
 
-def _conditions_hold_reference(points, conditions, upto):
+def _conditions_hold_reference(points, conditions):
     m = points.shape[0]
-    for H in conditions[:upto]:
+    for H in conditions:
         if not H:
             continue
         idx = sorted(H)
@@ -738,8 +791,8 @@ def test_conditions_hold_matches_loop_reference(seed, h, k, dependent, extra):
         pts[moved] = 0.3 * pts[a] + 0.7 * pts[b]
     upto = len(h.conditions) + extra
     for u in range(upto + 1):
-        assert _conditions_hold(pts, h.conditions, u) == _conditions_hold_reference(
-            pts, h.conditions, u)
+        assert _conditions_hold(pts, h.conditions[:u]) == _conditions_hold_reference(
+            pts, h.conditions[:u])
 
 
 def test_conditions_hold_reads_each_conditions_own_rank():
@@ -748,5 +801,5 @@ def test_conditions_hold_reads_each_conditions_own_rank():
     pts = _cap_sample(6, 2, 0.1, np.random.default_rng(5))
     pts[5] = 0.3 * pts[3] + 0.7 * pts[4]
     conditions = HSystem(6, ((0, 1, 2), (3, 4, 5))).conditions
-    assert _conditions_hold_reference(pts, conditions, 2)
-    assert _conditions_hold(pts, conditions, 2)
+    assert _conditions_hold_reference(pts, conditions[:2])
+    assert _conditions_hold(pts, conditions[:2])

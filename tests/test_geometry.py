@@ -142,6 +142,13 @@ def test_as_points_rejects_ragged_input():
         as_points([[0.0], [1.0, 2.0]])
     single = as_points([1.0, 2.0])
     assert single.shape == (1, 2)
+    with pytest.raises(ValueError, match=r"\(m, d\) array"):
+        as_points(np.zeros((2, 2, 2)))
+
+
+def test_minimal_spheres_rejects_sets_of_no_points():
+    with pytest.raises(ValueError, match="t >= 1"):
+        minimal_spheres(np.zeros((3, 0, 2)))
 
 
 @settings(max_examples=150, deadline=None)

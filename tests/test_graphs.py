@@ -80,6 +80,19 @@ def test_exact_coloring_matches_chromatic_number():
     assert len(exact_coloring(make_complete(4))) == 4
 
 
+def test_exact_coloring_at_its_bounds():
+    assert exact_coloring(Graph(0, [])) == []
+    with pytest.raises(ValueError, match="capped at n=16"):
+        exact_coloring(Graph(17, []))
+
+
+def test_complement_of_a_path_and_back():
+    p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    co = p4.complement()
+    assert co.sorted_edges() == [(0, 2), (0, 3), (1, 3)]
+    assert co.complement() == p4
+
+
 def test_bipartition():
     g = make_complete_multipartite([3, 3])
     a, b = bipartition_of(g)
