@@ -280,8 +280,11 @@ def test_realize_conditions_hold_as_rank_statements():
                 assert affine_rank(np.vstack([rows, pts[i]])) == base + 1
 
 
+_K33_MINUS_MATCHING = Graph(6, [(i, 3 + j) for i in range(3) for j in range(3) if i != j])
+
+
 def test_bipartite_faithful_k33_minus_matching():
-    g = Graph(6, [(i, 3 + j) for i in range(3) for j in range(3) if i != j])
+    g = _K33_MINUS_MATCHING
     emb = embed_bipartite_faithful(g, 3, seed=0)
     assert emb.dim == 3
     assert verify(g, emb, mode="faithful", tol=1e-7).passed
@@ -296,7 +299,7 @@ def test_bipartite_faithful_retries_after_a_rejected_cluster(monkeypatch):
         return calls[-1]
 
     monkeypatch.setattr("udgraph.embed._b_cluster_ok", reject_first)
-    g = Graph(6, [(i, 3 + j) for i in range(3) for j in range(3) if i != j])
+    g = _K33_MINUS_MATCHING
     emb = embed_bipartite_faithful(g, 3, seed=0)
     assert calls[:2] == [False, True]
     assert verify(g, emb, mode="faithful", tol=1e-7).passed
@@ -304,7 +307,7 @@ def test_bipartite_faithful_retries_after_a_rejected_cluster(monkeypatch):
 
 def test_bipartite_faithful_gives_up_after_its_attempts(monkeypatch):
     monkeypatch.setattr("udgraph.embed._b_cluster_ok", lambda pts, d: False)
-    g = Graph(6, [(i, 3 + j) for i in range(3) for j in range(3) if i != j])
+    g = _K33_MINUS_MATCHING
     with pytest.raises(RealizationError,
                        match=r"^faithful embedding failed after 50 attempts \(seed 3\)$"):
         embed_bipartite_faithful(g, 3, seed=3)
