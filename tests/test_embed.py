@@ -578,6 +578,26 @@ def test_place_on_spheres_returns_none_for_a_neighborhood_on_no_sphere():
     assert place_on_spheres(nbhds, bpts, np.random.default_rng(0)) is None
 
 
+def test_one_place_rule_for_poles_and_centres():
+    # (0, h) is a B point on the pole of {0, 1}'s complementary circle
+    h = np.sqrt(0.75)
+    bpts = np.array([[-0.5, 0.0], [0.5, 0.0], [0.0, h]])
+    both = frozenset({0, 1})
+    comp = complementary_sphere(minimal_sphere(bpts[[0, 1]]), 2)
+    u = comp.basis[0]
+    poles = [comp.center + comp.radius * u, comp.center - comp.radius * u]
+    other = next(p for p in poles if p[1] < 0)
+    # a lone vertex takes the pole that clears the margins, rounded as center +- radius * u
+    placed = place_on_spheres({0: both}, bpts, np.random.default_rng(0))
+    assert np.array_equal(placed[0], other)
+    # twins split the poles in vertex order, and one of them lands on (0, h)
+    assert place_on_spheres({0: both, 1: both}, bpts, np.random.default_rng(0)) is None
+    # a radius-1 neighbourhood's one place is its centre, exactly
+    bpts = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.5]])
+    placed = place_on_spheres({0: both}, bpts, np.random.default_rng(0))
+    assert np.array_equal(placed[0], minimal_sphere(bpts[[0, 1]]).center)
+
+
 def test_failing_forced_pole_ends_placement_before_later_groups():
     # vertex 0's poles (0, +-h) are blocked: +h by point 2 on it, -h by
     # point 3 at unit distance; vertex 1's neighborhood {2, 3, 4} is
