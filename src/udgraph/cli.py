@@ -27,7 +27,6 @@ from .audit import faithful_dim_audit
 from .census import count_distance, count_faithful, ramsey_fd_lower, zero_pattern_bound
 from .embed import (
     Embedding,
-    PreconditionError,
     RealizationError,
     embed_bipartite_faithful,
     embed_colorable,
@@ -336,8 +335,8 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (PreconditionError, RealizationError, ValueError, OSError, json.JSONDecodeError,
-            MemoryError) as exc:
+    # ValueError covers PreconditionError and json.JSONDecodeError
+    except (RealizationError, ValueError, OSError, MemoryError) as exc:
         print(f"udgraph: error: {exc}", file=sys.stderr)
         return 2
 

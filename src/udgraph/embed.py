@@ -13,13 +13,13 @@ Three constructions live here:
 * embed_bipartite_faithful: faithful realization in R^d of a bipartite graph
   whose A-side degrees are at most d, in two parts. _b_cluster_ok accepts a
   small, nearly flat B cluster in general position; verified_witness then has
-  place_on_spheres put every A vertex on the complementary sphere of its
-  neighborhood (one stacked sphere pass per neighborhood size and per basis
-  rank) and passes the result through verify.accepts. Forced vertices
-  (a center or a pole) are placed as their neighborhood group is reached;
-  the rest are rejection sampled for a real margin between every non-edge
-  and unit length, with one scalar draw first and then chunks of 2, 4,
-  8, ... draws screened at once on the same rng stream.
+  place_on_spheres put every A vertex on its neighborhood's locus (_loci,
+  one stacked sphere pass per neighborhood size and per basis rank: a great
+  sphere's center, two poles, or a sphere of dimension >= 1) and passes the
+  result through verify.accepts. A center or poles are taken as their group
+  is reached; the rest are rejection sampled for a real margin between every
+  non-edge and unit length, with one scalar draw first and then chunks of
+  2, 4, 8, ... draws screened at once on the same rng stream.
 """
 
 from __future__ import annotations
@@ -367,11 +367,13 @@ def _margins_ok(y: np.ndarray, others: np.ndarray) -> bool:
     return bool(dd.min() >= _WORKING_SEP and np.abs(dd - 1.0).min() >= _SAMPLE_MARGIN)
 
 
-def _sphere_sample(comp: Sphere, others: np.ndarray,
+def _sphere_sample(locus: Sphere, others: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray | None:
-    """The first of up to 200 sphere_point draws on comp that passes
+    """The first of up to 200 sphere_point draws on locus that passes
     _margins_ok against others, or None; rng ends where drawing them one at
-    a time would leave it.
+    a time would leave it, unless a chunk draws a normal shorter than 1e-12,
+    which sphere_point would redraw (at most about 5e-25 per draw on a locus
+    of two or more basis rows).
 
     The first draw is sphere_point itself. After a miss the rest come in
     chunks of 2, 4, 8, ... rows of one rng.normal call, which yields the same
@@ -379,75 +381,73 @@ def _sphere_sample(comp: Sphere, others: np.ndarray,
     others in one array, with 1e-9 of slack for the batched product's
     rounding; the rows that pass are recomputed with sphere_point's own
     expression and retested in draw order, and after an accepted row rng is
-    rewound to the chunk's start and redraws only the rows up to it. A
-    near-zero normal, which sphere_point would redraw, sends the rest of the
-    budget back to one draw at a time.
+    rewound to the chunk's start and redraws only the rows up to it.
     """
-    y = sphere_point(comp, rng)
+    y = sphere_point(locus, rng)
     if _margins_ok(y, others):
         return y
-    k = len(comp.basis)
+    k = len(locus.basis)
     left, size = 199, 2
     while left:
         size = min(size, left)
         state = rng.bit_generator.state
         g = rng.normal(size=(size, k))
-        norms = np.linalg.norm(g, axis=1)
-        if norms.min() < 1e-12:
-            rng.bit_generator.state = state
-            break
-        ys = comp.center + comp.radius * ((g / norms[:, None]) @ comp.basis)
+        ys = locus.center + locus.radius * ((g / np.linalg.norm(g, axis=1)[:, None]) @ locus.basis)
         dd = np.linalg.norm(ys[:, None] - others[None], axis=2)
         screen = ((dd.min(axis=1) >= _WORKING_SEP - 1e-9)
                   & (np.abs(dd - 1.0).min(axis=1) >= _SAMPLE_MARGIN - 1e-9))
         for j in np.flatnonzero(screen):
-            y = comp.center + comp.radius * (comp.basis.T @ (g[j] / np.linalg.norm(g[j])))
+            y = locus.center + locus.radius * (locus.basis.T @ (g[j] / np.linalg.norm(g[j])))
             if _margins_ok(y, others):
                 rng.bit_generator.state = state
                 rng.normal(size=(j + 1, k))
                 return y
         left -= size
         size *= 2
-    for _ in range(left):
-        y = sphere_point(comp, rng)
-        if _margins_ok(y, others):
-            return y
     return None
 
 
-def _neighborhood_spheres(nbs, bpts: np.ndarray):
-    """(minimal, comps) for the nonempty nb in nbs: the minimal sphere of
-    bpts[sorted(nb)] where it has one, one pass per size, and its
-    complementary sphere if it has one, one pass per basis rank."""
-    minimal, comps = {}, {}
+def _loci(nbs, bpts: np.ndarray) -> dict:
+    """{nb: locus} for the nonempty nb in nbs: the points at unit distance
+    from every point of bpts[sorted(nb)], as a Sphere. The minimal sphere of
+    each neighbourhood comes from one stacked pass per size. A great sphere
+    (radius >= _GREAT_SPHERE) has one such point, its centre, given as a
+    radius-0 sphere with an empty basis; any other has its complementary
+    sphere, from one stacked pass per basis rank. A neighbourhood on no
+    common sphere, or one that spans R^dim, has no locus and no entry."""
+    dim = bpts.shape[1]
+    loci, minimal = {}, {}
     for group in _grouped(filter(None, nbs), len).values():
-        spheres = minimal_spheres(bpts[[sorted(nb) for nb in group]])
-        minimal.update((nb, ms) for nb, ms in zip(group, spheres) if isinstance(ms, Sphere))
-    complemented = [nb for nb, ms in minimal.items()
-                    if ms.radius < _GREAT_SPHERE and len(ms.basis) < bpts.shape[1]]
-    for group in _grouped(complemented, lambda nb: len(minimal[nb].basis)).values():
-        comps.update(zip(group, complementary_spheres([minimal[nb] for nb in group])))
-    return minimal, comps
+        for nb, ms in zip(group, minimal_spheres(bpts[[sorted(nb) for nb in group]])):
+            if not isinstance(ms, Sphere):
+                continue
+            if ms.radius >= _GREAT_SPHERE:
+                loci[nb] = Sphere(ms.center, 0.0, np.empty((0, dim)))
+            elif len(ms.basis) < dim:
+                minimal[nb] = ms
+    for group in _grouped(minimal, lambda nb: len(minimal[nb].basis)).values():
+        loci.update(zip(group, complementary_spheres([minimal[nb] for nb in group])))
+    return loci
 
 
 def place_on_spheres(nbhds: dict, bpts: np.ndarray,
                      rng: np.random.Generator) -> dict | None:
     """Place each vertex v at unit distance from the points bpts[nbhds[v]].
 
-    Every group's spheres come first (_neighborhood_spheres), and groups are
-    then taken in order of their first vertex. A neighborhood whose minimal
-    sphere has radius 1 (_GREAT_SPHERE) spans a great sphere, and its one
-    vertex goes to the center. A zero-dimensional complementary
-    sphere offers two poles: a lone vertex takes the first that clears the
-    margins, twins split them in vertex order. These forced vertices are
-    placed as their group is reached, so a failing one ends the call before
+    Every neighbourhood's locus comes first (_loci), and the groups of
+    vertices sharing a neighbourhood are then taken in order of their first
+    vertex. A locus of finitely many places, a great sphere's centre or the
+    two poles of a zero-dimensional complementary sphere, takes its group
+    there and then: more vertices than places fail, a lone vertex takes the
+    first place that clears the margins, and twins split the places in
+    vertex order. A forced vertex that finds no place ends the call before
     any later group is looked at. Then, in vertex order, every other vertex
-    is sampled on its complementary sphere (_sphere_sample), and one with an
-    empty neighborhood far from the cluster, up to 200 draws each. Each
-    point must keep _WORKING_SEP from and _SAMPLE_MARGIN off unit distance
-    to its non-neighbors in bpts and to everything placed before it. Returns
+    is sampled on its locus (_sphere_sample), and one with an empty
+    neighbourhood far from the cluster, up to 200 draws each. Each point
+    must keep _WORKING_SEP from and _SAMPLE_MARGIN off unit distance to its
+    non-neighbours in bpts and to everything placed before it. Returns
     {v: point in bpts' dimension}, or None when some vertex finds no place
-    or some neighborhood lies on no common sphere or spans R^dim.
+    or some nonempty neighbourhood has no locus.
     """
     m, dim = bpts.shape
     placed: dict = {}
@@ -459,42 +459,31 @@ def place_on_spheres(nbhds: dict, bpts: np.ndarray,
         return np.concatenate([bpts[outside], rows[:len(placed)]])
 
     groups = _grouped(sorted(nbhds), nbhds.get)
-    minimal, comps = _neighborhood_spheres(groups, bpts)
+    loci = _loci(groups, bpts)
     sampled = []
     for nb, verts in sorted(groups.items(), key=lambda kv: kv[1]):
-        if not nb:
-            sampled.extend((v, None) for v in verts)
-            continue
-        if (ms := minimal.get(nb)) is None:  # the neighborhood lies on no common sphere
+        locus = loci.get(nb)
+        if locus is None and nb:
             return None
-        if ms.radius >= _GREAT_SPHERE:
-            if len(verts) > 1:
-                return None
-            choices = [[ms.center]]
-        else:
-            comp = comps.get(nb)
-            if comp is None:  # the neighborhood spans R^dim
-                return None
-            if len(comp.basis) != 1:
-                sampled.extend((v, comp) for v in verts)
-                continue
-            if len(verts) > 2:
-                return None
-            u = comp.basis[0]
-            poles = [comp.center + comp.radius * u, comp.center - comp.radius * u]
-            choices = [poles] if len(verts) == 1 else [poles[:1], poles[1:]]
-        for v, candidates in zip(verts, choices):
+        if locus is None or len(locus.basis) >= 2:
+            sampled.extend((v, locus) for v in verts)
+            continue
+        u = locus.basis  # no row for a centre, one for a pair of poles
+        places = locus.center + locus.radius * np.concatenate([u, -u]) if len(u) else [locus.center]
+        if len(verts) > len(places):
+            return None
+        for i, v in enumerate(verts):  # vertex i of k tries places i, i + k, ...
             others = surroundings(v)
-            y = next((c for c in candidates if _margins_ok(c, others)), None)
+            y = next((p for p in places[i::len(verts)] if _margins_ok(p, others)), None)
             if y is None:
                 return None
             rows[len(placed)] = placed[v] = y
 
     far = (bpts.mean(axis=0) if m else np.zeros(dim)) + 3.0 * np.eye(dim)[0]
-    for v, comp in sorted(sampled, key=lambda vc: vc[0]):
+    for v, locus in sorted(sampled, key=lambda vl: vl[0]):
         others = surroundings(v)
-        if comp is not None:
-            y = _sphere_sample(comp, others, rng)
+        if locus is not None:
+            y = _sphere_sample(locus, others, rng)
         else:
             draws = (far + _ball_sample(0.3, dim, rng) for _ in range(200))
             y = next((y for y in draws if _margins_ok(y, others)), None)

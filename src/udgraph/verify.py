@@ -153,7 +153,9 @@ def verify(g: Graph, embedding, mode: str = "faithful", tol: float = TOL_GEOM) -
     points may lie within tol of each other.
     mode "faithful": additionally no non-edge may have length within tol of 1.
     Violations carry the offending pair, its distance, and a kind tag
-    ("edge_not_unit", "coincident" or "nonedge_unit"), in pair order.
+    ("edge_not_unit", "coincident" or "nonedge_unit"), in pair order; an
+    edge off unit length by more than tol is "edge_not_unit" even where its
+    points coincide.
     tol must be finite and >= 0.
     """
     if mode not in MODES:
@@ -161,13 +163,12 @@ def verify(g: Graph, embedding, mode: str = "faithful", tol: float = TOL_GEOM) -
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     p = classify_pairs(g, finite_points(getattr(embedding, "points", embedding)))
-    bad = p.edge & (p.dev > tol)
-    if mode == "distance":
-        bad |= ~p.edge & (p.dist <= tol)
+    off_unit = p.edge & (p.dev > tol)
+    bad = off_unit | (p.dist <= tol)  # every pair, edge or not, keeps its points apart
     ambiguous = ()
     if mode == "faithful":
         non = ~p.edge
-        bad |= non & ((p.dist <= tol) | (p.dev <= tol))
+        bad |= non & (p.dev <= tol)
         # a non-edge that is neither coincident nor unit, but nearly unit
         amb = np.flatnonzero(non & ~bad & (p.dev <= 3.0 * tol))
         if amb.size:
@@ -179,7 +180,7 @@ def verify(g: Graph, embedding, mode: str = "faithful", tol: float = TOL_GEOM) -
             {"pair": (i, j), "distance": d,
              "kind": "edge_not_unit" if e else "coincident" if d <= tol else "nonedge_unit"}
             for i, j, d, e in zip(p.i[bad].tolist(), p.j[bad].tolist(),
-                                  p.dist[bad].tolist(), p.edge[bad].tolist())
+                                  p.dist[bad].tolist(), off_unit[bad].tolist())
         )
     if ambiguous:
         warnings.warn(

@@ -345,6 +345,20 @@ def test_verify_coincident_points_fail_with_exit_1(capsys, monkeypatch, mode):
     assert report["violations"][0]["distance"] == 0.0
 
 
+@pytest.mark.parametrize("tol, mode, points", [
+    ("1", "faithful", [[0.0], [0.0]]),
+    ("0.7", "distance", [[0.0], [0.3]]),
+])
+def test_verify_fails_an_edge_whose_points_coincide_at_a_wide_tol(capsys, monkeypatch, tol,
+                                                                   mode, points):
+    doc = {"graph": {"n": 2, "edges": [[0, 1]]}, "embedding": {"dim": 1, "points": points}}
+    code, out, _ = _run(capsys, monkeypatch, ["verify", "--tol", tol, "--mode", mode],
+                        stdin_text=json.dumps(doc))
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False and report["violations"][0]["kind"] == "coincident"
+
+
 def test_verify_judges_separation_at_its_own_tolerance(capsys, monkeypatch):
     # 5e-7 apart is distinct at tol 1e-9, and an edgeless pair then passes
     doc = {"graph": {"n": 2, "edges": []}, "embedding": {"dim": 1, "points": [[0.0], [5e-7]]}}

@@ -313,6 +313,35 @@ def test_bipartite_faithful_gives_up_after_its_attempts(monkeypatch):
         embed_bipartite_faithful(g, 3, seed=3)
 
 
+def test_bipartite_faithful_gives_up_when_the_accept_gate_refuses(monkeypatch):
+    # every placement puts one A vertex 1e-6 off unit length from a neighbour,
+    # past TOL_VERIFY, so verified_witness refuses every attempt
+    g = _K33_MINUS_MATCHING
+    assert verify(g, embed_bipartite_faithful(g, 3, seed=0), tol=1e-7).passed
+    calls = []
+
+    def stretched(nbhds, bpts, rng):
+        placed = place_on_spheres(nbhds, bpts, rng)
+        if placed is not None:
+            v = min(placed)
+            b = bpts[min(nbhds[v])]
+            placed[v] = b + (1.0 + 1e-6) * (placed[v] - b)
+            calls.append(v)
+        return placed
+
+    monkeypatch.setattr("udgraph.embed.place_on_spheres", stretched)
+    with pytest.raises(RealizationError, match="after 50 attempts"):
+        embed_bipartite_faithful(g, 3, seed=0)
+    assert calls
+
+
+def test_cap_sample_raises_on_a_cap_too_narrow_for_its_points():
+    # the points must be more than 10 * TOL_DISTINCT = 1e-5 apart, and a cap
+    # 1e-6 across holds no two of them
+    with pytest.raises(RealizationError, match="could not sample distinct cap points"):
+        _cap_sample(3, 1, 1e-6, np.random.default_rng(0))
+
+
 def test_bipartite_faithful_kprime_in_r5():
     g = make_kprime(4)
     emb = embed_bipartite_faithful(g, 5, seed=0)

@@ -62,6 +62,20 @@ def test_verify_distance_mode_rejects_coincident_nonadjacent_points():
         assert report.violations == ({"pair": (1, 2), "distance": 0.0, "kind": "coincident"},)
 
 
+def test_verify_checks_coincidence_on_edges_too():
+    # at tol >= 0.5 an edge can be within tol of unit length and of zero
+    # length at once; its points still have to be apart
+    g = make_complete(2)
+    for mode in ("faithful", "distance"):
+        report = verify(g, np.zeros((2, 2)), mode=mode, tol=1.0)
+        assert report.violations == ({"pair": (0, 1), "distance": 0.0, "kind": "coincident"},)
+        report = verify(g, np.array([[0.0], [0.3]]), mode=mode, tol=0.7)
+        assert [v["kind"] for v in report.violations] == ["coincident"]
+    # an edge off unit length by more than tol stays edge_not_unit
+    report = verify(g, np.zeros((2, 1)), mode="distance", tol=0.6)
+    assert [v["kind"] for v in report.violations] == ["edge_not_unit"]
+
+
 def test_verify_embedding_object_and_size_mismatch():
     g = make_complete(2)
     emb = Embedding(2, np.array([[0.0, 0.0], [1.0, 0.0]]))
@@ -132,6 +146,8 @@ def _reference_verify(g, pts, mode, tol):
         if g.has_edge(i, j):
             if dev > tol:
                 violations.append({"pair": (i, j), "distance": d, "kind": "edge_not_unit"})
+            elif d <= tol:  # a unit edge within a wide tol of zero length
+                violations.append({"pair": (i, j), "distance": d, "kind": "coincident"})
         elif d <= tol:  # both semantics place vertices at distinct points
             violations.append({"pair": (i, j), "distance": d, "kind": "coincident"})
         elif mode == "faithful":
@@ -161,7 +177,7 @@ def _reference_induced(pts, tol):
 def _layouts(draw):
     """Points on a line whose gaps hit 0, unit length, and the (tol, 3*tol]
     band around it, plus an arbitrary edge set."""
-    tol = draw(st.sampled_from([1e-9, 1e-7, 1e-3]))
+    tol = draw(st.sampled_from([1e-9, 1e-7, 1e-3, 0.6]))
     n = draw(st.integers(1, 6))
     base = st.sampled_from([0.0, 0.5, 1.0, 2.0])
     shift = st.sampled_from([0.0, 0.5, -0.5, 2.0, -2.0, 2.9, 5.0])
