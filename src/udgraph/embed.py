@@ -19,7 +19,8 @@ Three constructions live here:
   result through verify.accepts. A center or poles are taken as their group
   is reached; the rest are rejection sampled for a real margin between every
   non-edge and unit length, with one scalar draw first and then chunks of
-  2, 4, 8, ... draws screened at once on the same rng stream.
+  2, 4, 8, ... draws screened at once on the same rng stream; a locus that
+  one point keeps inside its margin gives up after that first draw.
 """
 
 from __future__ import annotations
@@ -344,7 +345,7 @@ def _b_cluster_ok(pts: np.ndarray, d: int) -> bool:
     (a) every subset of size <= d+1 is affinely independent (one stacked
         rank test of the subsets of size min(d+1, m), which hold the rest);
     (b) no d+1 points lie within 1e-3 of a common unit sphere (one stacked
-        circumradius solve).
+        circumradius solve, on the simplices gathered for (a)).
     Where the A vertices go is left to place_on_spheres and verified_witness.
     """
     m = pts.shape[0]
@@ -352,10 +353,12 @@ def _b_cluster_ok(pts: np.ndarray, d: int) -> bool:
     if dist.min(initial=np.inf) < 1e-3 or dist.max(initial=0.0) > B_DIAMETER:
         return False
     t = min(d + 1, m)  # pairs and single points are independent once 1e-3 apart
-    if t >= 3 and any(np.any(affine_ranks(pts[sub]) != t - 1) for sub in _subset_blocks(m, t)):
-        return False
-    return m < d + 1 or not any(np.any(np.abs(circumradii(pts[sub]) - 1.0) < 1e-3)
-                                for sub in _subset_blocks(m, d + 1))
+    for sub in _subset_blocks(m, t) if t >= 3 or t == d + 1 else ():
+        simplices = pts[sub]  # (b) tests the simplices (a) gathered, once m >= d + 1
+        if ((t >= 3 and np.any(affine_ranks(simplices) != t - 1))
+                or (t == d + 1 and np.any(np.abs(circumradii(simplices) - 1.0) < 1e-3))):
+            return False
+    return True
 
 
 def _margins_ok(y: np.ndarray, others: np.ndarray) -> bool:
@@ -375,18 +378,30 @@ def _sphere_sample(locus: Sphere, others: np.ndarray,
     which sphere_point would redraw (at most about 5e-25 per draw on a locus
     of two or more basis rows).
 
-    The first draw is sphere_point itself. After a miss the rest come in
-    chunks of 2, 4, 8, ... rows of one rng.normal call, which yields the same
-    normals as that many sphere_point calls. A chunk is screened against
-    others in one array, with 1e-9 of slack for the batched product's
-    rounding; the rows that pass are recomputed with sphere_point's own
-    expression and retested in draw order, and after an accepted row rng is
-    rewound to the chunk's start and redraws only the rows up to it.
+    The first draw is sphere_point itself. After a miss, a row p of others
+    whose squared distance over the whole locus, |c - p|^2 + R^2 +- 2R |basis
+    (c - p)|, stays 1e-9 inside p's unit margin or below _WORKING_SEP fails
+    every draw: the other 199 normals are drawn at once and None is returned.
+    Otherwise the rest come in chunks of 2, 4, 8, ... rows of one rng.normal
+    call, which yields the same normals as that many sphere_point calls. A
+    chunk is screened against others in one array, with 1e-9 of slack for
+    the batched product's rounding; the rows that pass are recomputed with
+    sphere_point's own expression and retested in draw order, and after an
+    accepted row rng is rewound to the chunk's start and redraws only the
+    rows up to it.
     """
     y = sphere_point(locus, rng)
     if _margins_ok(y, others):
         return y
     k = len(locus.basis)
+    rel = locus.center - others  # |y - p|^2 = |rel|^2 + R^2 + 2R u.(basis rel), |u| = 1
+    mid = (rel * rel).sum(axis=1) + locus.radius ** 2
+    half = 2.0 * locus.radius * np.linalg.norm(rel @ locus.basis.T, axis=1)
+    if np.any(((mid - half > (1.0 - _SAMPLE_MARGIN + 1e-9) ** 2)
+               & (mid + half < (1.0 + _SAMPLE_MARGIN - 1e-9) ** 2))
+              | (mid + half < (_WORKING_SEP - 1e-9) ** 2)):
+        rng.normal(size=(199, k))  # no draw can pass: leave rng where 199 more would
+        return None
     left, size = 199, 2
     while left:
         size = min(size, left)

@@ -7,10 +7,11 @@ sphere is a plain (center, radius, basis) tuple whose orthonormal basis rows
 span its flat; the minimal sphere of one point has radius 0 and an empty
 basis.
 
-Stacks take one batched SVD or solve: affine_ranks (affine ranks),
-circumradii (of full-dimensional simplices), minimal_spheres (an SVD and a
-solve) and complementary_spheres (a full SVD); affine_rank, minimal_sphere and
-complementary_sphere are their K = 1 cases.
+Stacks take one batched SVD or solve: affine_ranks (affine ranks, less the
+sets a Gram determinant bound settles), circumradii (of full-dimensional
+simplices), minimal_spheres (an SVD and a solve) and complementary_spheres (a
+full SVD); affine_rank, minimal_sphere and complementary_sphere are their
+K = 1 cases.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ def affine_ranks(stack) -> np.ndarray:
 
     Each rank is the matrix rank of the centered set; singular values at or
     below TOL_RANK * s_max count as zero, and an all-zero set has rank 0. Empty
-    sets (t = 0) get the conventional -1. One batched SVD serves the stack.
+    sets (t = 0) get the conventional -1. When t > d, a set whose centred
+    Gram matrix G has det(G / tr G) > 1e-10 has s_min / s_max > 1e-5 >>
+    TOL_RANK, so rank d; only the others take the one batched SVD.
     """
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3:
@@ -49,9 +52,17 @@ def affine_ranks(stack) -> np.ndarray:
     if d == 0 or k == 0:
         return np.zeros(k, dtype=int)
     centered = stack - stack.mean(axis=1, keepdims=True)
-    sv = np.linalg.svd(centered, compute_uv=False)
-    top = sv[:, :1]
-    return np.where(top[:, 0] > 0.0, np.sum(sv > TOL_RANK * top, axis=1), 0)
+    ranks, rest = np.full(k, d), np.arange(k)
+    if t > d:  # (s_min / s_max)^2 >= det G / (tr G)^d for G = C^T C
+        with np.errstate(all="ignore"):  # zero, tiny, huge and non-finite sets read nan or 0
+            gram = centered.transpose(0, 2, 1) @ centered
+            det = np.linalg.det(gram / np.trace(gram, axis1=1, axis2=2)[:, None, None])
+        rest = np.flatnonzero(~(det > 1e-10))
+    if len(rest):
+        sv = np.linalg.svd(centered[rest], compute_uv=False)
+        top = sv[:, :1]
+        ranks[rest] = np.where(top[:, 0] > 0.0, np.sum(sv > TOL_RANK * top, axis=1), 0)
+    return ranks
 
 
 def affine_rank(points) -> int:

@@ -22,12 +22,15 @@ from udgraph.embed import (
     growth_dimension,
     place_on_spheres,
     realize_hsystem,
+    _SAMPLE_MARGIN,
+    _WORKING_SEP,
     _b_cluster_ok,
     _ball_sample,
     _cap_sample,
     _conditions_hold,
     _margins_ok,
     _sample_b_cluster,
+    _sphere_sample,
     _subset_blocks,
 )
 from udgraph.audit import _offset, _sides, faithful_dim_audit
@@ -35,6 +38,7 @@ from udgraph.geometry import (
     Sphere,
     affine_rank,
     affine_ranks,
+    circumradii,
     complementary_sphere,
     minimal_sphere,
     sphere_point,
@@ -560,10 +564,31 @@ def _placement_cases():
                 yield nbhds, bpts, [i, attempt, 1]
 
 
-def test_place_on_spheres_matches_loop_reference():
+class _NormalRecorder:
+    """A Generator stand-in that records the size of every normal draw."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+        self.bit_generator = rng.bit_generator
+
+    def normal(self, size):
+        self.sizes.append(size)
+        return self.rng.normal(size=size)
+
+
+def test_place_on_spheres_matches_loop_reference(monkeypatch):
     # the batched screen keeps the one-draw-at-a-time loop's points, verdicts
     # and rng stream bit for bit, after a failure as after a success
     draws: list = []
+    exits: list = []  # per sampled vertex: did its search end after one draw?
+
+    def watched(locus, others, rng):
+        recorder = _NormalRecorder(rng)
+        y = _sphere_sample(locus, others, recorder)
+        exits.append((199, len(locus.basis)) in recorder.sizes)
+        return y
+
+    monkeypatch.setattr("udgraph.embed._sphere_sample", watched)
     for nbhds, bpts, seed in _placement_cases():
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = place_on_spheres(nbhds, bpts, rng)
@@ -573,9 +598,80 @@ def test_place_on_spheres_matches_loop_reference():
             assert list(got) == list(want)
             assert all(np.array_equal(got[v], want[v]) for v in want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-    # the cases reach past the first chunks and exhaust the whole budget
+    # the cases reach past the first chunks and exhaust the whole budget,
+    # and some loci that one point keeps inside its margin end at once
     assert any(10 < t <= 200 for t in draws)
     assert 201 in draws
+    assert any(exits) and not all(exits)
+
+
+def _circle_locus(radius):
+    """A circle about the origin of R^3 in the plane z = 0."""
+    return Sphere(np.zeros(3), radius, np.eye(3)[:2])
+
+
+def _at_range(radius, lo, hi):
+    """A point whose distances to _circle_locus(radius) run over [lo, hi]:
+    (a, 0, h) with a^2 + h^2 + radius^2 = (lo^2 + hi^2) / 2 and
+    4 a radius = hi^2 - lo^2."""
+    a = (hi * hi - lo * lo) / (4.0 * radius)
+    return np.array([[a, 0.0, np.sqrt((lo * lo + hi * hi) / 2.0 - radius * radius - a * a)]])
+
+
+def _sample_reference(locus, others, rng):
+    return next((y for y in (sphere_point(locus, rng) for _ in range(200))
+                 if _margins_ok(y, others)), None)
+
+
+@pytest.mark.parametrize("radius, others", [
+    (0.1, _at_range(0.1, 1.0, 1.0)),  # every point of the circle at unit distance
+    (0.1, _at_range(0.1, 1.0 - _SAMPLE_MARGIN + 2e-9, 1.0 + _SAMPLE_MARGIN - 2e-9)),
+    (0.3, np.vstack([[[5.0, 0.0, 0.0]], _at_range(0.3, 1.0 - 1e-4, 1.0 + 1e-4)])),
+    (2e-5, np.array([[5.0, 0.0, 0.0], [0.0, 0.0, 1e-5]])),  # the circle hugs a point
+])
+def test_sphere_sample_ends_a_hopeless_search_at_once(monkeypatch, radius, others):
+    # one point keeps the whole locus inside its margin: after the first
+    # miss the other 199 normals come in one draw, and no draw is checked
+    checks = []
+    monkeypatch.setattr("udgraph.embed._margins_ok",
+                        lambda y, o: checks.append(1) or _margins_ok(y, o))
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    recorder = _NormalRecorder(rng)
+    assert _sphere_sample(_circle_locus(radius), others, recorder) is None
+    assert recorder.sizes == [2, (199, 2)] and len(checks) == 1
+    assert _sample_reference(_circle_locus(radius), others, ref_rng) is None
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _clearing(below, above):
+    return 0.1, _at_range(0.1, 1.0 - _SAMPLE_MARGIN - below, 1.0 + _SAMPLE_MARGIN + above)
+
+
+@pytest.mark.parametrize("radius, others, finds", [
+    (*_clearing(0.0, 0.0), False), (*_clearing(1e-7, 1e-7), False),
+    (*_clearing(1e-6, 1e-6), True), (*_clearing(-2e-9, 0.0), False),
+    (*_clearing(-2e-9, 1e-6), True), (*_clearing(0.0, -2e-9), False),
+    (*_clearing(1e-6, -2e-9), True),
+    # a circle of radius 5e-5 through the point, reaching _WORKING_SEP from it or past
+    (5e-5, np.array([[5e-5, 0.0, 0.0]]), False),
+    (5e-5, np.array([[5e-5, 0.0, np.sqrt((_WORKING_SEP + 1e-6) ** 2 - 1e-8)]]), True),
+])
+def test_sphere_sample_searches_a_locus_that_clears_the_margin(radius, others, finds):
+    # the distance range reaches a margin, or pokes out of it, at one end
+    # or both: the draws are searched and match the one-at-a-time loop
+    found = 0
+    for seed in range(8):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        recorder = _NormalRecorder(rng)
+        got = _sphere_sample(_circle_locus(radius), others, recorder)
+        want = _sample_reference(_circle_locus(radius), others, ref_rng)
+        assert (199, 2) not in recorder.sizes
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+            found += 1
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert found or not finds
 
 
 def test_place_on_spheres_rejects_a_neighborhood_spanning_the_space():
@@ -730,6 +826,25 @@ def test_b_cluster_ok_takes_one_stacked_rank_test(monkeypatch):
                         lambda stack: stacks.append(len(stack)) or affine_ranks(stack))
     assert _b_cluster_ok(pts, 4)
     assert stacks == [126]
+
+
+def test_b_cluster_ok_gathers_each_block_once(monkeypatch):
+    # with m >= d + 1 the rank test and the circumradius solve of a block
+    # read one gathered (k, d + 1, d) array
+    monkeypatch.setattr("udgraph.embed._SUBSET_BLOCK", 50)
+    for seed in range(20):
+        pts = _sample_b_cluster(9, 4, np.random.default_rng(seed))
+        if _b_cluster_ok_reference(pts, 4):
+            break
+    seen = []
+    monkeypatch.setattr("udgraph.embed.affine_ranks",
+                        lambda stack: seen.append(("ranks", stack)) or affine_ranks(stack))
+    monkeypatch.setattr("udgraph.embed.circumradii",
+                        lambda stack: seen.append(("radii", stack)) or circumradii(stack))
+    assert _b_cluster_ok(pts, 4)
+    assert [(kind, len(stack)) for kind, stack in seen] == [
+        ("ranks", 50), ("radii", 50), ("ranks", 50), ("radii", 50), ("ranks", 26), ("radii", 26)]
+    assert all(seen[i][1] is seen[i + 1][1] for i in (0, 2, 4))
 
 
 def test_b_cluster_ok_tests_the_whole_set_below_d_plus_one():

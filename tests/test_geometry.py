@@ -178,6 +178,82 @@ def test_affine_ranks_edge_shapes():
         affine_ranks(np.zeros((3, 2)))
 
 
+def _svd_ranks(stack):
+    """affine_ranks without the Gram determinant screen: one batched SVD."""
+    centered = stack - stack.mean(axis=1, keepdims=True)
+    sv = np.linalg.svd(centered, compute_uv=False)
+    top = sv[:, :1]
+    return np.where(top[:, 0] > 0.0, np.sum(sv > TOL_RANK * top, axis=1), 0)
+
+
+def _outcome(ranks, stack):
+    try:
+        return ranks(stack).tolist()
+    except Exception as exc:  # a RuntimeWarning under the suite's filter, or LinAlgError
+        return type(exc), str(exc)
+
+
+def _conditioned_set(rng, t, d, ratio):
+    """t points in R^d, t > d, whose centred set has s_min / s_max = ratio:
+    U diag(s) V^T with U's columns orthonormal and orthogonal to the ones
+    vector, translated by a random offset."""
+    q, _ = np.linalg.qr(np.hstack([np.ones((t, 1)), rng.normal(size=(t, d))]))
+    v, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    s = np.linspace(1.0, 0.5, d)
+    s[-1] = ratio
+    return (q[:, 1:] * s) @ v.T + rng.normal(size=d)
+
+
+def _screen_cases(rng, t, d):
+    """Sets on both sides of the screen and of TOL_RANK, at every scale."""
+    sets = [_point_set(rng, kind, t, d) for kind in ("generic", "collinear", "duplicate", "equal")]
+    if t > d:
+        sets += [_conditioned_set(rng, t, d, r) for r in (1e-3, 1e-5, 1e-7, 1e-8, 1e-9, 0.0)]
+    sets.append(np.zeros((t, d)))
+    return [scale * s for s in sets for scale in (1.0, 1e-30, 1e30)]
+
+
+@pytest.mark.parametrize("t, d", [(5, 4), (6, 4), (4, 3), (9, 2), (3, 1), (2, 4), (4, 4), (1, 3)])
+def test_affine_ranks_screen_matches_pure_svd(t, d):
+    # the determinant screen decides only sets with s_min / s_max >= 1e-5;
+    # every other set, at any scale, gets the same SVD verdict as before
+    rng = np.random.default_rng([t, d])
+    for _ in range(5):
+        stack = np.stack(_screen_cases(rng, t, d))
+        order = rng.permutation(len(stack))
+        assert affine_ranks(stack).tolist() == _svd_ranks(stack).tolist()
+        assert affine_ranks(stack[order]).tolist() == _svd_ranks(stack[order]).tolist()
+        scaled = rng.normal(size=(40, t, d)) * 10.0 ** rng.uniform(-6, 6, size=(40, 1, 1))
+        assert affine_ranks(scaled).tolist() == _svd_ranks(scaled).tolist()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("t, d", [(5, 4), (3, 4)])
+def test_affine_ranks_screen_keeps_non_finite_outcomes(bad, t, d):
+    # one non-finite coordinate or a whole non-finite set, among finite sets:
+    # the same exception as the pure SVD, and the screen itself never warns
+    rng = np.random.default_rng(0)
+    for whole in (False, True):
+        stack = rng.normal(size=(4, t, d))
+        if whole:
+            stack[2] = bad
+        else:
+            stack[2, 0, 0] = bad
+        assert _outcome(affine_ranks, stack) == _outcome(_svd_ranks, stack)
+
+
+def test_affine_ranks_screen_spares_the_svd_for_sets_in_general_position(monkeypatch):
+    # generic sets never reach the SVD; a dependent one does, alone
+    svd_rows = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: svd_rows.append(len(a)) or svd(a, **kw))
+    rng = np.random.default_rng(1)
+    stack = rng.normal(size=(50, 5, 4))
+    stack[7, 4] = 0.5 * (stack[7, 0] + stack[7, 1])
+    assert affine_ranks(stack).tolist() == [4] * 7 + [3] + [4] * 42
+    assert svd_rows == [1]
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5), d=st.integers(1, 5),
        on_unit_sphere=st.booleans())
