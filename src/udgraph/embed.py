@@ -87,10 +87,8 @@ class Embedding:
         return self.points.shape[0]
 
     def to_json(self) -> str:
-        rows = ", ".join(
-            "[" + ", ".join(format(float(v), ".17g") for v in row) + "]"
-            for row in self.points
-        )
+        rows = ", ".join("[" + ", ".join(map("{:.17g}".format, row)) + "]"
+                         for row in self.points.tolist())
         return '{"dim": %d, "points": [%s]}' % (self.dim, rows)
 
     def to_dict(self) -> dict:

@@ -11,7 +11,7 @@ Stacks take one batched SVD or solve: affine_ranks (affine ranks, less the
 sets a Gram determinant bound settles), circumradii (of full-dimensional
 simplices), minimal_spheres (an SVD and a solve) and complementary_spheres (a
 full SVD); affine_rank, minimal_sphere and complementary_sphere are their
-K = 1 cases.
+K = 1 cases. solve_stack is the batched solve, shared with the solver.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve as _solve_gufunc
 
 TOL_RANK = 1e-8
 TOL_SPHERE = 1e-7  # how far off its minimal sphere a point may sit
@@ -32,6 +33,19 @@ def as_points(points) -> np.ndarray:
     if pts.ndim != 2:
         raise ValueError("point set must be an (m, d) array")
     return pts
+
+
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) for a float64 (K, m, m) stack a and a (K, m, k)
+    stack b: the gufunc, signature and floating-point error state that
+    np.linalg.solve itself uses for them, without its wrapper, so the result
+    is the same bits. A singular system raises LinAlgError("Singular matrix")."""
+    return _solve_gufunc(a, b, signature="dd->d")
 
 
 def affine_ranks(stack) -> np.ndarray:
@@ -77,16 +91,14 @@ def circumradii(stack) -> np.ndarray:
     The center of simplex y_0..y_d solves 2 (y_i - y_0) . c = |y_i - y_0|^2
     with c relative to y_0, so the radius is |c|; one batched solve serves the
     stack. An affinely dependent simplex makes the system singular: expect a
-    huge radius or numpy.linalg.LinAlgError, so test independence first.
+    huge radius or LinAlgError, so test independence first.
     """
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] + 1:
         raise ValueError("a stack of simplices must be a (K, d+1, d) array")
     diffs = stack[:, 1:] - stack[:, :1]
     rhs = np.sum(diffs * diffs, axis=2)
-    # b carries an explicit trailing axis: a stack of (d, 1) right-hand sides
-    # reads the same on numpy 1.x and 2.x
-    c = np.linalg.solve(2.0 * diffs, rhs[..., None])[..., 0]
+    c = solve_stack(2.0 * diffs, rhs[..., None])[..., 0]
     return np.sqrt(np.sum(c * c, axis=1))
 
 
@@ -114,7 +126,7 @@ def _spheres_through(stack: np.ndarray, diffs: np.ndarray) -> list:
         # coordinates only adds rounding that the solve amplifies
         bases = np.tile(np.eye(d), (len(diffs), 1, 1)) if r == d else vt[ok]
         y = diffs @ bases.transpose(0, 2, 1)
-        c = np.linalg.solve(2.0 * y, (y * y).sum(axis=2)[..., None])
+        c = solve_stack(2.0 * y, (y * y).sum(axis=2)[..., None])
         centers = stack[:, 0] + (bases.transpose(0, 2, 1) @ c)[..., 0]
         radii = np.sqrt(c.transpose(0, 2, 1) @ c)[:, 0, 0]  # one dot each, as np.linalg.norm
     rel = stack - centers[:, None]

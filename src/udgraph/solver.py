@@ -38,8 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 
 from .embed import Embedding
+from .geometry import solve_stack
 from .graphs import Graph
 from .verify import accepts
 
@@ -99,10 +101,13 @@ def _incidence(g: Graph) -> np.ndarray:
 
 
 def _residuals(x, bt, target):
-    """Edge differences (c, m, d), residuals |diff|^2 - target (c, m) and F (c,)."""
+    """Edge differences (c, m, d), residuals |diff|^2 - target (c, m) and F (c,).
+
+    c_einsum is what np.einsum calls without optimize, so the sums round as
+    np.einsum's do; np.vecdot and (a * a).sum(-1) round differently."""
     diff = bt @ x
-    p = np.einsum("...i,...i->...", diff, diff) - target
-    return diff, p, np.einsum("...i,...i->...", p, p)
+    p = c_einsum("...i,...i->...", diff, diff) - target
+    return diff, p, c_einsum("...i,...i->...", p, p)
 
 
 def _jacobian(diff, bt2):
@@ -150,11 +155,11 @@ def _run_batch(x, rows, owner, bt, target, cfg: SolverConfig, settle) -> None:
     for it in range(cfg.max_iters + 1):
         if it == cfg.max_iters:
             out[:] = True
-        if np.count_nonzero(out):
+        if out.any():
             for k in np.flatnonzero(out):
                 bound = settle(int(owner[k]), int(rows[k]), x[k], float(f[k]))
             keep = ~out & (rows < bound[owner])
-            if not np.count_nonzero(keep):
+            if not keep.any():
                 return
             x, diff, p, f, lam, rows, owner, bt, bt2, target = (
                 a[keep] for a in (x, diff, p, f, lam, rows, owner, bt, bt2, target))
@@ -163,7 +168,7 @@ def _run_batch(x, rows, owner, bt, target, cfg: SolverConfig, settle) -> None:
             jac = _jacobian(diff, bt2)
             jt = jac.transpose(0, 2, 1)
             jtj, jtp = jt @ jac, jt @ p[..., None]
-        xn = x - np.linalg.solve(jtj + lam[:, None, None] * eye, jtp).reshape(x.shape)
+        xn = x - solve_stack(jtj + lam[:, None, None] * eye, jtp).reshape(x.shape)
         dn, pn, fn = _residuals(xn, bt, target)
         took = fn < f
         moved = np.count_nonzero(took)  # cheaper than took.all() on a few rows

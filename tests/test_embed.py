@@ -102,6 +102,18 @@ def test_embedding_validation_and_json():
     np.testing.assert_array_equal(back.points, emb.points)
 
 
+def test_embedding_json_text_is_pinned():
+    # 17 significant digits without trailing zeros, which round-trips every
+    # float64; signed zeros and extreme exponents included
+    emb = Embedding(3, np.array([[0.0, -0.0, 1e300], [-1e-300, 5e-324, 0.1],
+                                 [1.0 / 3.0, -2.0**60, 1e16]]))
+    assert emb.to_json() == (
+        '{"dim": 3, "points": [[0, -0, 1.0000000000000001e+300], '
+        '[-1e-300, 4.9406564584124654e-324, 0.10000000000000001], '
+        '[0.33333333333333331, -1.152921504606847e+18, 10000000000000000]]}')
+    assert Embedding(2, np.zeros((0, 2))).to_json() == '{"dim": 2, "points": []}'
+
+
 @pytest.mark.parametrize("dim", [0, 2])
 def test_empty_embedding_round_trips(dim):
     emb = Embedding(dim=dim, points=np.zeros((0, dim)))

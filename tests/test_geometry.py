@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -14,6 +16,7 @@ from udgraph.geometry import (
     minimal_sphere,
     minimal_spheres,
     pairwise_distances,
+    solve_stack,
     sphere_point,
 )
 
@@ -453,3 +456,24 @@ def test_complementary_spheres_reject_what_complementary_sphere_rejects():
         complementary_spheres([triangle])
     with pytest.raises(ValueError, match="ambient space"):
         complementary_sphere(pair, 3)
+
+
+def test_solve_stack_is_np_linalg_solve_bit_for_bit():
+    # solve_stack calls numpy's private solve gufunc, so this guards the
+    # installed numpy: the public wrapper's bits on random float64 stacks
+    rng = np.random.default_rng(0)
+    for _ in range(3000):
+        k, m, cols = (int(v) for v in rng.integers((1, 1, 1), (41, 16, 3)))
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        a, b = scale * rng.normal(size=(k, m, m)), scale * rng.normal(size=(k, m, cols))
+        got, want = solve_stack(a, b), np.linalg.solve(a, b)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def test_solve_stack_raises_on_a_singular_stack_as_np_linalg_solve_does():
+    a, b = np.zeros((3, 4, 4)), np.ones((3, 4, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no RuntimeWarning on the way
+        for solve in (np.linalg.solve, solve_stack):
+            with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+                solve(a, b)

@@ -125,6 +125,35 @@ def test_one_graph_solve_bytes_are_pinned():
         "fbacfe44d9ae6165f3387a3a009762687eb173c6abc72be68c39243175def8cf")
 
 
+def test_solver_exit_paths_are_pinned():
+    # rows that end by max_iters, a padded and tiled two-graph batch whose
+    # rows leave at different iterations, and distance solves: the bytes of
+    # each exit, so a change to the step's kernels must leave them unmoved
+    results = [solve_faithful(make_complete(4), 2, SolverConfig(seed=0, restarts=4, max_iters=3))]
+    results += solver.solve_many([make_complete(4), _C4], 2,
+                                 SolverConfig(seed=1, restarts=8, max_iters=200))
+    results += [solve_distance(g, d, SolverConfig(seed=2))
+                for g, d in ((make_complete_multipartite([2, 3]), 2), (make_complete(4), 3))]
+    docs = [json.dumps(r.to_dict(), sort_keys=True) for r in results]
+    assert hashlib.sha256("\n".join(docs).encode()).hexdigest() == (
+        "0130cb5f2e8727a24e32509c5e1481eebc883f74da8a386f81c5635e8bf12d31")
+
+
+def test_residuals_round_as_np_einsum():
+    # _residuals sums through numpy's private c_einsum, so this guards the
+    # installed numpy: np.einsum's bits on (c, m, d) and (c, m) stacks
+    rng = np.random.default_rng(0)
+    for c, m, n, d in ((1, 1, 2, 1), (1, 6, 4, 2), (3, 10, 5, 3), (32, 15, 6, 5), (7, 21, 7, 4)):
+        x = 10.0 ** rng.uniform(-3.0, 3.0) * rng.normal(size=(c, n, d))
+        bt = rng.integers(-1, 2, size=(c, m, n)).astype(float)
+        target = rng.integers(0, 2, size=(c, m)).astype(float)
+        diff = bt @ x
+        p = np.einsum("...i,...i->...", diff, diff) - target
+        f = np.einsum("...i,...i->...", p, p)
+        got = solver._residuals(x, bt, target)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in (diff, p, f)]
+
+
 def test_a_refused_step_does_not_rebuild_the_jacobian(monkeypatch):
     # a refused step leaves every point where it was, so J^T J and J^T p carry
     # over; _residuals runs once per batch and once per trial step
