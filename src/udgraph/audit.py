@@ -141,53 +141,63 @@ def _chain_search(h: HSystem, node_cap: int) -> tuple:
 
     A chain starts with up to three free elements (three distinct points on
     a sphere are never collinear) and extends by any j outside some condition
-    that contains the entire current chain. Extension validity depends only
-    on the chain as a set, so the search memoizes on frozensets. The result
-    is a valid chain even when the cap truncates the search.
+    that contains the entire current chain. Sets of elements are int
+    bitmasks, bit i for element i: the conditions are masks, a chain's set
+    is one, and the elements that may extend it are the OR of full & ~c over
+    the conditions c that contain it, taken in increasing order. Extension
+    validity depends only on the chain as a set, so the search memoizes on
+    those masks. The result is a valid chain even when the cap truncates the
+    search.
     """
     m = h.m
     if m <= 3:
         return list(range(m)), False
-    conds = [frozenset(c) for c in h.conditions]
+    full = (1 << m) - 1
+    conds = [sum(1 << i for i in c) for c in h.conditions]
     best: list = [0, 1, 2]
     seen: set = set()
     nodes = 0
 
-    def extend(chain_set: frozenset, order: list):
+    def extend(chain: int, order: list):
         nonlocal best, nodes
         if len(order) > len(best):
             best = list(order)
         if len(order) == m or nodes > node_cap:
             return
-        for j in range(m):
-            if j in chain_set:
-                continue
-            if not any(chain_set <= c and j not in c for c in conds):
-                continue
-            grown = chain_set | {j}
+        free = 0
+        for c in conds:
+            if chain & c == chain:
+                free |= full & ~c
+        while free:
+            low = free & -free
+            free ^= low
+            grown = chain | low
             if grown in seen:
                 continue
             seen.add(grown)
             nodes += 1
-            extend(grown, order + [j])
+            extend(grown, order + [low.bit_length() - 1])
 
     # a start triple that no condition contains never extends, so past the
     # first triple, which seeds best, only the contained ones are tried
     for start in _contained_triples(m, conds):
         if nodes > node_cap or len(best) == m:
             break
-        extend(frozenset(start), list(start))
+        extend(sum(1 << i for i in start), list(start))
     return best, nodes > node_cap and len(best) < m
 
 
 def _contained_triples(m: int, conds: list):
-    """The triples of range(m) that some condition contains, in
-    lexicographic order."""
+    """The triples of range(m) that some condition mask of conds contains,
+    in lexicographic order."""
     for a in range(m):
-        with_a = [c for c in conds if a in c]
+        with_a = [c for c in conds if c >> a & 1]
         for b in range(a + 1, m):
-            third = set().union(*(c for c in with_a if b in c))
-            yield from ((a, b, x) for x in sorted(third) if x > b)
+            third = 0
+            for c in with_a:
+                if c >> b & 1:
+                    third |= c
+            yield from ((a, b, x) for x in range(b + 1, m) if third >> x & 1)
 
 
 def k_lower_bound(h: HSystem) -> int:

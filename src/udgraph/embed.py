@@ -21,6 +21,9 @@ Three constructions live here:
   non-edge and unit length, with one scalar draw first and then chunks of
   2, 4, 8, ... draws screened at once on the same rng stream; a locus that
   one point keeps inside its margin gives up after that first draw.
+
+Norms and means are written as the expressions np.linalg.norm and
+ndarray.mean evaluate, as in geometry: the same bits without the wrappers.
 """
 
 from __future__ import annotations
@@ -222,7 +225,7 @@ def _cap_sample(m: int, k: int, spread: float, rng: np.random.Generator) -> np.n
     for _ in range(64):
         offsets = rng.uniform(-spread / 2.0, spread / 2.0, size=(m, k))
         pts = np.hstack([np.ones((m, 1)), offsets])
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        pts /= np.sqrt(np.add.reduce(pts * pts, axis=1, keepdims=True))
         if classify_pairs(None, pts).dist.min(initial=np.inf) > min_sep:
             return pts
     raise RealizationError("could not sample distinct cap points")
@@ -304,10 +307,10 @@ def realize_hsystem(h: HSystem, eps: float = 0.01, seed: int = 0):
 
 def _ball_sample(radius: float, dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=dim)
-    norm = np.linalg.norm(g)
+    norm = np.sqrt(g.dot(g))
     while norm < 1e-12:
         g = rng.normal(size=dim)
-        norm = np.linalg.norm(g)
+        norm = np.sqrt(g.dot(g))
     return (radius * rng.uniform() ** (1.0 / dim)) * g / norm
 
 
@@ -364,7 +367,8 @@ def _margins_ok(y: np.ndarray, others: np.ndarray) -> bool:
     from unit distance to each."""
     if others.shape[0] == 0:
         return True
-    dd = np.linalg.norm(others - y, axis=1)
+    rel = others - y
+    dd = np.sqrt(np.add.reduce(rel * rel, axis=1))
     return bool(dd.min() >= _WORKING_SEP and np.abs(dd - 1.0).min() >= _SAMPLE_MARGIN)
 
 
@@ -394,7 +398,8 @@ def _sphere_sample(locus: Sphere, others: np.ndarray,
     k = len(locus.basis)
     rel = locus.center - others  # |y - p|^2 = |rel|^2 + R^2 + 2R u.(basis rel), |u| = 1
     mid = (rel * rel).sum(axis=1) + locus.radius ** 2
-    half = 2.0 * locus.radius * np.linalg.norm(rel @ locus.basis.T, axis=1)
+    along = rel @ locus.basis.T
+    half = 2.0 * locus.radius * np.sqrt(np.add.reduce(along * along, axis=1))
     if np.any(((mid - half > (1.0 - _SAMPLE_MARGIN + 1e-9) ** 2)
                & (mid + half < (1.0 + _SAMPLE_MARGIN - 1e-9) ** 2))
               | (mid + half < (_WORKING_SEP - 1e-9) ** 2)):
@@ -405,12 +410,14 @@ def _sphere_sample(locus: Sphere, others: np.ndarray,
         size = min(size, left)
         state = rng.bit_generator.state
         g = rng.normal(size=(size, k))
-        ys = locus.center + locus.radius * ((g / np.linalg.norm(g, axis=1)[:, None]) @ locus.basis)
-        dd = np.linalg.norm(ys[:, None] - others[None], axis=2)
+        unit = g / np.sqrt(np.add.reduce(g * g, axis=1))[:, None]
+        ys = locus.center + locus.radius * (unit @ locus.basis)
+        diff = ys[:, None] - others[None]
+        dd = np.sqrt(np.add.reduce(diff * diff, axis=2))
         screen = ((dd.min(axis=1) >= _WORKING_SEP - 1e-9)
                   & (np.abs(dd - 1.0).min(axis=1) >= _SAMPLE_MARGIN - 1e-9))
         for j in np.flatnonzero(screen):
-            y = locus.center + locus.radius * (locus.basis.T @ (g[j] / np.linalg.norm(g[j])))
+            y = locus.center + locus.radius * (locus.basis.T @ (g[j] / np.sqrt(g[j].dot(g[j]))))
             if _margins_ok(y, others):
                 rng.bit_generator.state = state
                 rng.normal(size=(j + 1, k))
@@ -492,7 +499,7 @@ def place_on_spheres(nbhds: dict, bpts: np.ndarray,
                 return None
             rows[len(placed)] = placed[v] = y
 
-    far = (bpts.mean(axis=0) if m else np.zeros(dim)) + 3.0 * np.eye(dim)[0]
+    far = (np.add.reduce(bpts, axis=0) / m if m else np.zeros(dim)) + 3.0 * np.eye(dim)[0]
     for v, locus in sorted(sampled, key=lambda vl: vl[0]):
         others = surroundings(v)
         if locus is not None:

@@ -12,6 +12,14 @@ sets a Gram determinant bound settles), circumradii (of full-dimensional
 simplices), minimal_spheres (an SVD and a solve) and complementary_spheres (a
 full SVD); affine_rank, minimal_sphere and complementary_sphere are their
 K = 1 cases. solve_stack is the batched solve, shared with the solver.
+
+The factorizations call numpy.linalg._umath_linalg's LAPACK gufuncs directly,
+with the float64 signature and the error state the public function sets:
+solve (np.linalg.solve), svd_s, svd_f and svd (np.linalg.svd reduced, full and
+values only) and det (np.linalg.det). The public functions add only checks and
+no-op casts around the same call, so the bits are the same. Norms and means
+are the expressions numpy evaluates for them: np.sqrt(x.dot(x)),
+np.sqrt(np.add.reduce(x * x, axis)) and np.add.reduce(x, axis) / n.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg._umath_linalg import solve as _solve_gufunc
+from numpy.linalg import _umath_linalg
 
 TOL_RANK = 1e-8
 TOL_SPHERE = 1e-7  # how far off its minimal sphere a point may sit
@@ -45,7 +53,34 @@ def solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     stack b: the gufunc, signature and floating-point error state that
     np.linalg.solve itself uses for them, without its wrapper, so the result
     is the same bits. A singular system raises LinAlgError("Singular matrix")."""
-    return _solve_gufunc(a, b, signature="dd->d")
+    return _umath_linalg.solve(a, b, signature="dd->d")
+
+
+def _nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+# np.linalg.svd's error state; its three gufuncs return the same bits under it
+_SVD_ERRSTATE = np.errstate(call=_nonconvergence, invalid="call", over="ignore",
+                            divide="ignore", under="ignore")
+
+
+@_SVD_ERRSTATE
+def _svd_reduced(a: np.ndarray) -> tuple:
+    """np.linalg.svd(a, full_matrices=False) for a float64 stack: (u, s, vt)."""
+    return _umath_linalg.svd_s(a, signature="d->ddd")
+
+
+@_SVD_ERRSTATE
+def _svd_full(a: np.ndarray) -> tuple:
+    """np.linalg.svd(a) for a float64 stack: (u, s, vt) with square u and vt."""
+    return _umath_linalg.svd_f(a, signature="d->ddd")
+
+
+@_SVD_ERRSTATE
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """np.linalg.svd(a, compute_uv=False) for a float64 stack."""
+    return _umath_linalg.svd(a, signature="d->d")
 
 
 def affine_ranks(stack) -> np.ndarray:
@@ -65,15 +100,16 @@ def affine_ranks(stack) -> np.ndarray:
         return np.full(k, -1)
     if d == 0 or k == 0:
         return np.zeros(k, dtype=int)
-    centered = stack - stack.mean(axis=1, keepdims=True)
+    centered = stack - np.add.reduce(stack, axis=1, keepdims=True) / t
     ranks, rest = np.full(k, d), np.arange(k)
     if t > d:  # (s_min / s_max)^2 >= det G / (tr G)^d for G = C^T C
         with np.errstate(all="ignore"):  # zero, tiny, huge and non-finite sets read nan or 0
             gram = centered.transpose(0, 2, 1) @ centered
-            det = np.linalg.det(gram / np.trace(gram, axis1=1, axis2=2)[:, None, None])
+            det = _umath_linalg.det(gram / np.trace(gram, axis1=1, axis2=2)[:, None, None],
+                                    signature="d->d")
         rest = np.flatnonzero(~(det > 1e-10))
     if len(rest):
-        sv = np.linalg.svd(centered[rest], compute_uv=False)
+        sv = _singular_values(centered[rest])
         top = sv[:, :1]
         ranks[rest] = np.where(top[:, 0] > 0.0, np.sum(sv > TOL_RANK * top, axis=1), 0)
     return ranks
@@ -119,7 +155,7 @@ def _spheres_through(stack: np.ndarray, diffs: np.ndarray) -> list:
     k, r, d = diffs.shape
     ok, centers, radii, bases = np.ones(k, dtype=bool), stack[:, 0].copy(), np.zeros(k), diffs
     if r:  # one point's sphere is itself, with an empty basis
-        _, sv, vt = np.linalg.svd(diffs, full_matrices=False)
+        _, sv, vt = _svd_reduced(diffs)
         ok = sv[:, -1] > TOL_RANK * sv[:, 0]
         stack, diffs = stack[ok], diffs[ok]
         # diffs spanning R^d keep ambient coordinates: rotating them into hull
@@ -183,7 +219,7 @@ def complementary_spheres(spheres) -> list:
         raise ValueError("complementary sphere requires radius < 1")
     if k == d:
         raise ValueError("a sphere spanning the ambient space has no complementary sphere")
-    comps = np.linalg.svd(bases)[2][:, k:] if k else [np.eye(d) for _ in spheres]
+    comps = _svd_full(bases)[2][:, k:] if k else [np.eye(d) for _ in spheres]
     return [Sphere(s.center, math.sqrt(1.0 - s.radius**2), c) for s, c in zip(spheres, comps)]
 
 
@@ -200,9 +236,9 @@ def sphere_point(s: Sphere, rng: np.random.Generator) -> np.ndarray:
     if k == 0:
         return s.center.copy()
     g = rng.normal(size=k)
-    while np.linalg.norm(g) < 1e-12:
+    while np.sqrt(g.dot(g)) < 1e-12:
         g = rng.normal(size=k)
-    return s.center + s.radius * (s.basis.T @ (g / np.linalg.norm(g)))
+    return s.center + s.radius * (s.basis.T @ (g / np.sqrt(g.dot(g))))
 
 
 def pairwise_distances(points) -> np.ndarray:

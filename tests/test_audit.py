@@ -134,14 +134,14 @@ def test_chain_search_reports_truncation(monkeypatch):
         "side": "A", "chain": list(range(7)), "length": 7, "truncated": True}}
 
 
-def _chain_search_every_start(h, node_cap):
-    """The chain search with every triple of range(m) as a start, as it was
-    before starts outside every condition were skipped."""
+def _frozenset_chain_search(h, node_cap, starts=None):
+    """The chain search as it was on frozensets, before sets became bitmasks:
+    from the triples some condition contains, or from starts(m)."""
     m = h.m
     if m <= 3:
         return list(range(m)), False
     conds = [frozenset(c) for c in h.conditions]
-    best, seen, nodes = [], set(), 0
+    best, seen, nodes = [0, 1, 2], set(), 0
 
     def extend(chain_set, order):
         nonlocal best, nodes
@@ -159,11 +159,51 @@ def _chain_search_every_start(h, node_cap):
             nodes += 1
             extend(grown, order + [j])
 
-    for start in combinations(range(m), 3):
+    def contained_triples():
+        for a in range(m):
+            with_a = [c for c in conds if a in c]
+            for b in range(a + 1, m):
+                third = set().union(*(c for c in with_a if b in c))
+                yield from ((a, b, x) for x in sorted(third) if x > b)
+
+    for start in contained_triples() if starts is None else starts(m):
         if nodes > node_cap or len(best) == m:
             break
         extend(frozenset(start), list(start))
     return best, nodes > node_cap and len(best) < m
+
+
+def _chain_search_every_start(h, node_cap):
+    """The chain search with every triple of range(m) as a start, as it was
+    before starts outside every condition were skipped."""
+    return _frozenset_chain_search(h, node_cap, lambda m: combinations(range(m), 3))
+
+
+@st.composite
+def _hsystems(draw):
+    m = draw(st.integers(4, 11))
+    conds = draw(st.lists(st.sets(st.integers(0, m - 1), max_size=m - 1), max_size=8))
+    return HSystem(m, tuple(conds))
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=_hsystems(), cap=st.integers(0, 40))
+def test_bitmask_chain_search_matches_the_frozenset_search(h, cap):
+    for node_cap in (cap, audit._CHAIN_NODE_CAP):
+        assert audit._chain_search(h, node_cap) == _frozenset_chain_search(h, node_cap)
+
+
+def test_bitmask_chain_search_matches_the_frozenset_search_on_the_sweep():
+    # the audit sweep's K'_d and remark systems, both sides, truncated or not
+    graphs = [make_kprime(d) for d in range(4, 11)] + [make_remark_graph(d) for d in (3, 4, 5)]
+    systems = [hsystem_of(g, side) for g in graphs for side in ("A", "B")]
+    truncated = set()
+    for h in systems:
+        for cap in (0, 1, 3, 5, 30, audit._CHAIN_NODE_CAP):
+            got = audit._chain_search(h, cap)
+            assert got == _frozenset_chain_search(h, cap), (h, cap)
+            truncated.add(got[1])
+    assert truncated == {True, False}
 
 
 def test_chain_search_matches_the_search_over_every_start_triple():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from udgraph import geometry
 from udgraph.geometry import (
     TOL_RANK,
     affine_rank,
@@ -248,8 +249,8 @@ def test_affine_ranks_screen_keeps_non_finite_outcomes(bad, t, d):
 def test_affine_ranks_screen_spares_the_svd_for_sets_in_general_position(monkeypatch):
     # generic sets never reach the SVD; a dependent one does, alone
     svd_rows = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: svd_rows.append(len(a)) or svd(a, **kw))
+    svd = geometry._singular_values
+    monkeypatch.setattr(geometry, "_singular_values", lambda a: svd_rows.append(len(a)) or svd(a))
     rng = np.random.default_rng(1)
     stack = rng.normal(size=(50, 5, 4))
     stack[7, 4] = 0.5 * (stack[7, 0] + stack[7, 1])
@@ -477,3 +478,57 @@ def test_solve_stack_raises_on_a_singular_stack_as_np_linalg_solve_does():
         for solve in (np.linalg.solve, solve_stack):
             with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
                 solve(a, b)
+
+
+def _bits(arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("k, t, d", [(6, 2, 4), (6, 4, 4), (6, 7, 4), (3, 1, 3), (3, 3, 1),
+                                     (0, 2, 4), (0, 4, 4), (0, 7, 4)])
+def test_lapack_kernels_are_np_linalg_bit_for_bit(k, t, d):
+    # geometry calls numpy's private SVD and det gufuncs, so this guards the
+    # installed numpy: the public functions' bits on random float64 stacks,
+    # generic and rank-deficient, at scales from 1e-6 to 1e6
+    rng = np.random.default_rng([k, t, d])
+    for _ in range(60):
+        a = 10.0 ** rng.uniform(-6.0, 6.0) * rng.normal(size=(k, t, d))
+        if k and t > 1 and rng.random() < 0.5:
+            a[:, -1] = a[:, 0]
+        assert _bits(geometry._svd_reduced(a)) == _bits(np.linalg.svd(a, full_matrices=False))
+        assert _bits(geometry._svd_full(a)) == _bits(np.linalg.svd(a))
+        assert _bits([geometry._singular_values(a)]) == _bits([np.linalg.svd(a, compute_uv=False)])
+        gram = a.transpose(0, 2, 1) @ a
+        det = geometry._umath_linalg.det(gram, signature="d->d")
+        assert _bits([det]) == _bits([np.linalg.det(gram)])
+
+
+def test_svd_kernels_raise_on_a_non_finite_stack_as_np_linalg_svd_does():
+    # nan only: LAPACK's SVD may never return on an infinite entry
+    a = np.random.default_rng(0).normal(size=(3, 4, 5))
+    a[1, 0, 0] = np.nan
+    public = (np.linalg.svd, lambda a: np.linalg.svd(a, full_matrices=False),
+              lambda a: np.linalg.svd(a, compute_uv=False))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no RuntimeWarning on the way
+        for svd in (*public, geometry._svd_full, geometry._svd_reduced, geometry._singular_values):
+            with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+                svd(a)
+
+
+def test_inline_norms_and_means_are_numpy_s_bit_for_bit():
+    # the norms and means geometry and embed write out as expressions
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        k, t, d = (int(v) for v in rng.integers(1, 8, size=3))
+        x = 10.0 ** rng.uniform(-6.0, 6.0) * rng.normal(size=(k, t, d))
+        v, rows = x[0, 0], x[0]
+        assert _bits([np.sqrt(v.dot(v))]) == _bits([np.linalg.norm(v)])
+        assert (_bits([np.sqrt(np.add.reduce(rows * rows, axis=1))])
+                == _bits([np.linalg.norm(rows, axis=1)]))
+        assert (_bits([np.sqrt(np.add.reduce(rows * rows, axis=1, keepdims=True))])
+                == _bits([np.linalg.norm(rows, axis=1, keepdims=True)]))
+        assert _bits([np.sqrt(np.add.reduce(x * x, axis=2))]) == _bits([np.linalg.norm(x, axis=2)])
+        assert (_bits([np.add.reduce(x, axis=1, keepdims=True) / t])
+                == _bits([x.mean(axis=1, keepdims=True)]))
+        assert _bits([np.add.reduce(rows, axis=0) / t]) == _bits([rows.mean(axis=0)])
