@@ -11,13 +11,13 @@ points, then repeated extension by a vertex excluded from a condition that
 contains the whole prefix) forces affine rank to grow, which bounds k from
 below. These rules are deliberately incomplete; UNDECIDED is an honest verdict.
 
-The upper-bound side realizes the H-system on a sphere (realize_hsystem),
-scales it, and places the A vertices on complementary spheres, producing a
-verified witness embedding whenever the numbers cooperate. On K'_d (d = 3..10),
+The upper-bound side draws the H-system on a sphere, scales it, places the A
+vertices on complementary spheres, and checks the H-system's conditions last,
+on an accepted witness, whenever the numbers cooperate. On K'_d (d = 3..10),
 K''_d (d = 3..8) and the remark graphs (d = 3..5) it does so at d + 1, one
-dimension above the refutation. An edgeless graph
-the construction does not reach (it never builds in fewer than two
-dimensions) is placed on the line, where distinct points realize it.
+dimension above the refutation. An edgeless graph the construction does not
+reach (it never builds in fewer than two dimensions) is placed on the line,
+where distinct points realize it.
 
 With no full-degree vertex (s = 0) there is no common sphere and the chain
 rule does not apply to realizations, so the audit never claims
@@ -42,8 +42,9 @@ from .embed import (
     Embedding,
     HSystem,
     RealizationError,
+    _conditions_hold,
+    _hsystem_cloud,
     growth_dimension,
-    realize_hsystem,
     verified_witness,
 )
 from .graphs import Graph, bipartition_of, graph_to_json, neighborhoods_in
@@ -264,7 +265,8 @@ def _construct_side(g: Graph, d_query: int, side: _Side, seed: int):
     """Witness embedding via H-system realization plus sphere placement.
 
     Returns (embedding at dim d_query, params dict) or None. The ground side
-    is the realized H-system scaled by r in k + _offset(s) dimensions. With
+    is an H-system cloud scaled by r in k + _offset(s) dimensions, whose
+    conditions are checked only on a witness verified_witness accepted. With
     exactly one full-degree vertex the sphere stays at radius 1 so that
     vertex can sit at the center; otherwise r = 0.3, which fattens every
     complementary sphere (radius sqrt(1-r^2) instead of near zero) and, for
@@ -280,13 +282,13 @@ def _construct_side(g: Graph, d_query: int, side: _Side, seed: int):
     r = 1.0 if s == 1 else 0.3
     for attempt in range(20):
         try:
-            _, unit_pts = realize_hsystem(side.h, eps=0.2, seed=seed * 1009 + attempt)
-        except RealizationError:
+            _, unit_pts = _hsystem_cloud(side.h, 0.2, seed * 1009 + attempt)
+        except RealizationError:  # _cap_sample drew no distinct cap points
             continue
         rng = np.random.default_rng([seed, attempt, 77])
         bpts = np.pad(r * unit_pts, ((0, 0), (0, d_up - unit_pts.shape[1])))
         emb = verified_witness(g, d_query, side.ground, bpts, side.nbhds, rng)
-        if emb is not None:
+        if emb is not None and _conditions_hold(unit_pts, side.h.conditions):
             return emb, {"k": k, "s": s, "dim_constructed": d_up, "r": r}
     return None
 

@@ -28,8 +28,10 @@ faithful on the line and so in every R^d.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
@@ -282,6 +284,19 @@ class GraphEntry(NamedTuple):
     rule: dict | None = None  # the refuting {"rule", "params"} of a CERTIFIED_RULE entry
 
 
+@contextmanager
+def _collector_paused():
+    """The cyclic collector off, then back as it was: a report's many fresh
+    lists and dicts hold no cycles, yet would set it off again and again."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @dataclass(frozen=True, eq=False)
 class CensusReport:
     """Classification of the labelled graphs on n vertices in R^d.
@@ -341,6 +356,7 @@ class CensusReport:
         """True when every class is oracle-backed (counts carry no uncertainty)."""
         return all(row[1] == METHOD_EXACT for row in self.classes.values())
 
+    @_collector_paused()
     def to_dict(self) -> dict:
         rows = {rep: dict(zip(GraphEntry._fields[2:], row)) for rep, row in self.classes.items()}
         return {
@@ -356,6 +372,7 @@ class CensusReport:
                         for mask, edges, rep in self._labelled()],
         }
 
+    @_collector_paused()
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 

@@ -9,18 +9,19 @@ Three constructions live here:
   unit. Distance-graph semantics.
 * realize_hsystem: incremental realization on spheres of a system of affine
   exclusion conditions, growing the sphere dimension only when a condition is
-  too big to satisfy in general position.
+  too big to satisfy in general position (_hsystem_cloud), then checked.
 * embed_bipartite_faithful: faithful realization in R^d of a bipartite graph
-  whose A-side degrees are at most d, in two parts. _b_cluster_ok accepts a
-  small, nearly flat B cluster in general position; verified_witness then has
-  place_on_spheres put every A vertex on its neighborhood's locus (_loci,
-  one stacked sphere pass per neighborhood size and per basis rank: a great
-  sphere's center, two poles, or a sphere of dimension >= 1) and passes the
-  result through verify.accepts. A center or poles are taken as their group
-  is reached; the rest are rejection sampled for a real margin between every
-  non-edge and unit length, with one scalar draw first and then chunks of
-  2, 4, 8, ... draws screened at once on the same rng stream; a locus that
-  one point keeps inside its margin gives up after that first draw.
+  whose A-side degrees are at most d, on a small, nearly flat B cluster.
+  verified_witness has place_on_spheres put every A vertex on its
+  neighborhood's locus (_loci, one stacked sphere pass per neighborhood size
+  and per basis rank: a great sphere's center, two poles, or a sphere of
+  dimension >= 1) and passes the result through verify.accepts; only then
+  does _b_cluster_ok certify the cluster. A center or poles are taken as
+  their group is reached; the rest are rejection sampled for a real margin
+  between every non-edge and unit length, with one scalar draw first and then
+  chunks of 2, 4, 8, ... draws screened at once on the same rng stream; a
+  locus that one point keeps inside its margin gives up after that first
+  draw.
 
 Norms and means are written as the expressions np.linalg.norm and
 ndarray.mean evaluate, as in geometry: the same bits without the wrappers.
@@ -279,10 +280,19 @@ def realize_hsystem(h: HSystem, eps: float = 0.01, seed: int = 0):
     eps/2 + 2 * eps/4 = eps. (A resample after a growth step draws its cap
     on S^k, up to (eps/2) * sqrt(k) across, and only the later steps add to
     that.) Every condition is checked once, on the finished cloud; a failure
-    raises RealizationError naming the seed, and callers retry with another.
-    Returns (k, points) with points of shape (m, k+1); k never exceeds the
+    raises RealizationError naming the seed. (The audit's construction draws
+    the cloud alone and checks it last, on an accepted witness.) Returns
+    (k, points) with points of shape (m, k+1); k never exceeds the
     subsequence guarantee s+1 of lemedge2_guarantee.
     """
+    k, pts = _hsystem_cloud(h, eps, seed)
+    if not _conditions_hold(pts, h.conditions):
+        raise RealizationError(f"H-system realization failed its conditions (seed {seed})")
+    return k, pts
+
+
+def _hsystem_cloud(h: HSystem, eps: float, seed: int) -> tuple:
+    """realize_hsystem's (k, points), before its check of the conditions."""
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got eps={eps}")
     rng = np.random.default_rng([seed, 0])
@@ -296,8 +306,6 @@ def realize_hsystem(h: HSystem, eps: float = 0.01, seed: int = 0):
             pts = np.hstack([math.cos(phi) * pts, math.sin(phi) * signs[:, None]])
         else:
             pts = _cap_sample(h.m, k, eps / 2.0, rng)
-    if not _conditions_hold(pts, h.conditions):
-        raise RealizationError(f"H-system realization failed its conditions (seed {seed})")
     return k, pts
 
 
@@ -347,7 +355,7 @@ def _b_cluster_ok(pts: np.ndarray, d: int) -> bool:
         rank test of the subsets of size min(d+1, m), which hold the rest);
     (b) no d+1 points lie within 1e-3 of a common unit sphere (one stacked
         circumradius solve, on the simplices gathered for (a)).
-    Where the A vertices go is left to place_on_spheres and verified_witness.
+    embed_bipartite_faithful asks once a witness on the cluster is accepted.
     """
     m = pts.shape[0]
     dist = classify_pairs(None, pts).dist
@@ -572,11 +580,11 @@ def check_bipartite_preconditions(g: Graph, d: int):
 def embed_bipartite_faithful(g: Graph, d: int, seed: int = 0) -> Embedding:
     """Faithful realization in R^d of a bipartite graph with A-degrees <= d.
 
-    The B side becomes a flat cluster of diameter B_DIAMETER passing the
-    general-position checks of _b_cluster_ok. verified_witness then has
-    place_on_spheres put each A vertex on the complementary sphere of its
-    neighborhood's minimal sphere, so neighbor distances are exactly 1;
-    degree-d vertices get its two poles.
+    Each attempt draws the B side as a flat cluster of diameter B_DIAMETER,
+    and verified_witness has place_on_spheres put each A vertex on the
+    complementary sphere of its neighborhood's minimal sphere (degree-d
+    vertices get its two poles). An accepted witness is returned once its
+    cluster passes the general-position checks of _b_cluster_ok.
     """
     if d < 2:
         raise PreconditionError("d must be at least 2")
@@ -586,10 +594,8 @@ def embed_bipartite_faithful(g: Graph, d: int, seed: int = 0) -> Embedding:
     for attempt in range(_MAX_RETRIES):
         rng = np.random.default_rng([seed, attempt])
         bpts = _sample_b_cluster(len(side_b), d, rng)
-        if not _b_cluster_ok(bpts, d):
-            continue
         emb = verified_witness(g, d, side_b, bpts, nbhds, rng)
-        if emb is not None:
+        if emb is not None and _b_cluster_ok(bpts, d):
             return emb
     raise RealizationError(
         f"faithful embedding failed after {_MAX_RETRIES} attempts (seed {seed})"

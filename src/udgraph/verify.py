@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import as_points, pairwise_distances
+from .geometry import as_points
 from .graphs import Graph
 
 MODES = ("faithful", "distance")
@@ -52,21 +52,20 @@ def classify_pairs(g: Graph | None, points) -> Pairs:
 
     The one pair classifier of the package: verification, the accept gate
     and the constructions' sampling checks all read their pairs from this
-    table. g None means a graph without edges.
+    table. g None means a graph without edges. Only the i < j pairs are
+    measured, with pairwise_distances' bits; edge (u, v) is pair
+    u*n - u(u+1)/2 + v - u - 1.
     """
     pts = as_points(points)
     n = pts.shape[0]
     if g is not None and g.n != n:
         raise ValueError(f"embedding has {n} points for a {g.n}-vertex graph")
     i, j = _upper(n)
-    dist = pairwise_distances(pts)[i, j]
-    if g is None or g.m == 0:
-        edge = np.zeros(dist.shape, dtype=bool)
-    else:
-        adj = np.zeros((n, n), dtype=bool)
-        u, v = np.array(list(g.edges)).T
-        adj[u, v] = True
-        edge = adj[i, j]
+    diff = pts[i] - pts[j]
+    dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
+    edge = np.zeros(dist.shape, dtype=bool)
+    if g is not None:  # Python ints: cheaper than an array of the edge tuples
+        edge[[u * n - u * (u + 1) // 2 + v - u - 1 for u, v in g.edges]] = True
     return Pairs(i, j, dist, edge, np.abs(dist - 1.0))
 
 

@@ -19,7 +19,7 @@ from udgraph.audit import (
     lemedge_bound,
 )
 from udgraph.census import _canonical_masks, _graph_of_mask
-from udgraph.embed import MARGIN_NONEDGE, HSystem, RealizationError, realize_hsystem
+from udgraph.embed import MARGIN_NONEDGE, HSystem, _conditions_hold, _hsystem_cloud
 from udgraph.graphs import (
     Graph,
     make_complete,
@@ -241,17 +241,22 @@ def test_audit_kprime_tight_dimensions():
 
 
 def test_construct_side_goes_past_a_failed_realization(monkeypatch):
-    # realize_hsystem makes one attempt per seed; the construction retries
-    seeds = []
+    # each attempt draws one cloud; its H-system check runs once a witness is
+    # placed on it, and a refused check sends the construction to the next seed
+    seeds, checked = [], []
 
-    def fail_first(h, eps, seed):
+    def draw(h, eps, seed):
         seeds.append(seed)
-        if len(seeds) == 1:
-            raise RealizationError(f"H-system realization failed its conditions (seed {seed})")
-        return realize_hsystem(h, eps=eps, seed=seed)
+        return _hsystem_cloud(h, eps, seed)
 
-    monkeypatch.setattr(audit, "realize_hsystem", fail_first)
+    def fail_first(points, conditions):
+        checked.append(seeds[-1])
+        return len(checked) > 1 and _conditions_hold(points, conditions)
+
+    monkeypatch.setattr(audit, "_hsystem_cloud", draw)
+    monkeypatch.setattr(audit, "_conditions_hold", fail_first)
     r = faithful_dim_audit(make_kprime(4), 5)
+    assert checked[:2] == seeds[:2]  # attempt 0 was placed, then refused at its check
     assert seeds[:2] == [seeds[0], seeds[0] + 1]
     assert r.verdict == "REALIZABLE"
     assert verify(make_kprime(4), r.embedding, mode="faithful", tol=1e-7).passed

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from udgraph.embed import Embedding
 from udgraph.geometry import pairwise_distances
 from udgraph.graphs import Graph, make_complete
-from udgraph.verify import ToleranceCliffWarning, induced_udg, verify
+from udgraph.verify import ToleranceCliffWarning, _upper, classify_pairs, induced_udg, verify
 
 
 def _square_points():
@@ -225,3 +225,88 @@ def test_induced_udg_matches_per_pair_reference(layout):
     else:
         assert isinstance(out, ValueError)
         assert str(out).startswith(f"points {coincident[0]} and {coincident[1]} coincide")
+
+
+# ---------------------------------------------------------------------------
+# classify_pairs forms only the i < j pairs, with the full matrix's bits
+
+
+def _classify_pairs_full_matrix(g, points):
+    """(dist, edge, dev) as classify_pairs computed them from the whole n x n
+    distance matrix and an n x n adjacency, kept as the reference."""
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    i, j = _upper(n)
+    dist = pairwise_distances(pts)[i, j]
+    if g is None or g.m == 0:
+        edge = np.zeros(dist.shape, dtype=bool)
+    else:
+        adj = np.zeros((n, n), dtype=bool)
+        u, v = np.array(list(g.edges)).T
+        adj[u, v] = True
+        edge = adj[i, j]
+    return dist, edge, np.abs(dist - 1.0)
+
+
+@st.composite
+def _point_sets(draw):
+    """n in 0..12 points in R^1..R^11 at scales 1e-8..1e8, with duplicate
+    rows, signed zeros, an optional non-finite coordinate, and a graph of
+    0 to all edges (or None)."""
+    n, d = draw(st.integers(0, 12)), draw(st.integers(1, 11))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.normal(size=(n, d)) * 10.0 ** draw(st.integers(-8, 8))
+    if n >= 2:
+        for _ in range(draw(st.integers(0, 2))):
+            pts[rng.integers(n)] = pts[rng.integers(n)]
+        zeros = rng.random(size=pts.shape) < draw(st.sampled_from([0.0, 0.3]))
+        pts[zeros] = np.where(rng.random(size=pts.shape) < 0.5, 0.0, -0.0)[zeros]
+    bad = draw(st.sampled_from([None, np.inf, -np.inf, np.nan]))
+    if bad is not None and n:
+        pts[rng.integers(n), rng.integers(d)] = bad
+    pairs = list(combinations(range(n), 2))
+    m = draw(st.integers(0, len(pairs)))
+    g = None if draw(st.booleans()) and m == 0 else Graph(
+        n, [pairs[k] for k in rng.permutation(len(pairs))[:m]])
+    return g, pts
+
+
+@settings(max_examples=400, deadline=None)
+@given(_point_sets())
+def test_classify_pairs_matches_the_full_matrix_bit_for_bit(case):
+    g, pts = case
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite and 1e8-scale rows
+        p = classify_pairs(g, pts)
+        expected = _classify_pairs_full_matrix(g, pts)
+    i, j = _upper(len(pts))
+    assert p.i is i and p.j is j
+    if np.all(np.isfinite(pts)):
+        assert [a.tobytes() for a in (p.dist, p.edge, p.dev)] == [
+            b.tobytes() for b in expected]
+    else:
+        for got, want in zip((p.dist, p.edge, p.dev), expected):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)  # nan where the reference has nan
+
+
+def test_classify_pairs_sets_every_edge_by_its_pair_index():
+    for n in range(2, 13):
+        pairs = list(combinations(range(n), 2))
+        g = Graph(n, pairs)
+        pts = np.arange(float(n))[:, None]
+        assert classify_pairs(g, pts).edge.all()
+        for k, (u, v) in enumerate(pairs):
+            edge = classify_pairs(Graph(n, [(v, u)]), pts).edge
+            assert np.flatnonzero(edge).tolist() == [k]
+
+
+def test_classify_pairs_forms_no_diagonal_difference():
+    # the full matrix subtracted every point from itself, so one infinite
+    # coordinate raised inf - inf on the diagonal; the pairs alone do not
+    pts = np.array([[0.0, 0.0], [np.inf, 0.0], [1.0, 0.0]])
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        _classify_pairs_full_matrix(None, pts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = classify_pairs(None, pts)
+    assert p.dist.tolist() == [np.inf, 1.0, np.inf]
