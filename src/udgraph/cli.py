@@ -254,7 +254,10 @@ def _cmd_plot(args) -> int:
 
 def _seed(text: str) -> int:
     """A --seed value: a non-negative integer."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return value
@@ -269,9 +272,10 @@ def _side_file(text: str) -> str:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every later
-    call in the process; nothing changes it after it is built."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and each subcommand's parser by name, built on
+    first use and shared by every later call in the process; nothing changes
+    them after they are built."""
     top = argparse.ArgumentParser(prog="udgraph", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -328,12 +332,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_plot)
 
-    return top
+    return top, sub.choices
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """argv parsed as the top-level parser's parse_args does, with the same
+    usage errors, but in one pass: a subcommand's arguments go straight to
+    its own parser. The top-level parser takes every other argv (none, -h,
+    an unknown name) and reports arguments the subcommand leaves over."""
+    top, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return top.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        top.error("unrecognized arguments: " + " ".join(extra))
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     # ValueError covers PreconditionError and json.JSONDecodeError
     except (RealizationError, ValueError, OSError, MemoryError) as exc:

@@ -137,8 +137,9 @@ def _run_batch(x, rows, owner, bt, target, cfg: SolverConfig, settle) -> None:
     row, x - (J^T J + lambda I)^-1 J^T p. A step that lowers F is taken and
     divides lambda by 10; any other step is refused and multiplies it by 10.
     A refused step leaves the point where it was, so J^T J and J^T p are
-    rebuilt only once some row has moved or left the batch; when every row
-    takes its step, the iteration takes the trial state whole. A row leaves
+    rebuilt only once some row has moved or left the batch. When every row
+    takes its step, the iteration takes the trial state whole, and when
+    every row refuses it, keeps the batch as it was. A row leaves
     the batch when F is 0, when a step is refused while F is within
     TOL_RESIDUAL (converged to round-off), when lambda reaches _LAMBDA_MAX
     (stalled), or after max_iters iterations. settle(graph, restart, point,
@@ -178,6 +179,11 @@ def _run_batch(x, rows, owner, bt, target, cfg: SolverConfig, settle) -> None:
             lam = np.maximum(lam / 10.0, _LAMBDA_MIN)
             out = f == 0.0
             stale = True
+            continue
+        if moved == 0:
+            lam = 10.0 * lam
+            out = (f <= TOL_RESIDUAL) | (lam >= _LAMBDA_MAX)
+            stale = False
             continue
         x = np.where(took[:, None, None], xn, x)
         diff = np.where(took[:, None, None], dn, diff)
@@ -231,8 +237,9 @@ def solve_many(graphs, d: int, cfg: SolverConfig | None = None, faithful: bool =
         x = INIT_SCALE * np.array([np.random.default_rng([cfg.seed, int(r)]).normal(size=(n, d))
                                    for r in rows])
         owner = np.repeat(live, rows.size)
-        _run_batch(np.tile(x, (live.size, 1, 1)), np.tile(rows, live.size), owner,
-                   bts[owner], targets[owner], cfg, settle)
+        if live.size > 1:
+            x, rows = np.tile(x, (live.size, 1, 1)), np.tile(rows, live.size)
+        _run_batch(x, rows, owner, bts[owner], targets[owner], cfg, settle)
     return [_result(d, *args) for args in zip(found, final, winner.tolist())]
 
 

@@ -177,6 +177,20 @@ def test_negative_seed_is_a_usage_error(capsys, monkeypatch, argv):
     assert "argument --seed" in err and "non-negative" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["realize", "--method", "numeric", "--dim", "2", "--seed", "abc"],
+    ["census", "--n", "3", "--dim", "2", "--seed", "abc"],
+], ids=["realize", "census"])
+def test_non_integer_seed_names_what_is_expected(capsys, argv):
+    # the message names the value wanted, not the converter that refused it
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.endswith(f"udgraph {argv[0]}: error: argument --seed: "
+                        "expected a non-negative integer, got 'abc'\n")
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["realize", "--method", "numeric", "--dim", "2", "-o", "-"], "argument -o/--output"),
     (["census", "--n", "3", "--dim", "1", "--csv", "-"], "argument --csv"),

@@ -2,15 +2,20 @@
 of its usage paths, and the bytes of a run of `realize --method numeric |
 verify` pipes."""
 
+import contextlib
 import hashlib
 import io
 import json
+import os
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from udgraph.cli import main
+from udgraph.cli import _build_parser, _parse_args, main
 
 _TOP_USAGE = "usage: udgraph [-h] {gen,realize,verify,audit,census,bound,ramsey,plot} ...\n"
 _CHOICES = "'gen', 'realize', 'verify', 'audit', 'census', 'bound', 'ramsey', 'plot'"
@@ -104,6 +109,38 @@ def test_default_argv_is_read_from_sys_argv(capsys, monkeypatch, argv):
     expected = _outcome(capsys, argv)
     monkeypatch.setattr("sys.argv", ["udgraph", *argv])
     assert _outcome(capsys, None) == expected
+
+
+def _parsed(parse, argv):
+    """(namespace without its command name or the exit code, stdout, stderr)
+    of parse(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = vars(parse(argv))
+            args.pop("command", None)
+        except SystemExit as exc:
+            args = exc.code
+    return args, out.getvalue(), err.getvalue()
+
+
+_TOKENS = st.sampled_from([
+    "gen", "realize", "verify", "audit", "census", "bound", "ramsey", "plot", "real", "complete",
+    "multipartite", "zero-pattern", "lower", "numeric", "colorable", "bogus", "--method",
+    "--dim", "--seed", "--n", "--s", "--mode", "--tol", "--graph", "--embedding", "--csv", "-o",
+    "--output", "--out", "--semantics", "--jobs", "--bogus", "-h", "--help", "--he", "--",
+    "-", "2", "-1", "abc", "1e-7", "x.json", "--dim=3", "--seed=abc"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=st.tuples(st.sampled_from(sorted(_build_parser()[1])), st.lists(_TOKENS, max_size=6))
+       .map(lambda t: [t[0], *t[1]]) | st.lists(_TOKENS, max_size=3))
+def test_one_pass_parse_matches_the_top_level_parse(argv):
+    # the subcommand's own parser gives what the top-level parser gives,
+    # value for value and message for message
+    top, _ = _build_parser()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        assert _parsed(_parse_args, argv) == _parsed(top.parse_args, argv)
 
 
 def _pipe_cases():
