@@ -34,9 +34,10 @@ print("faithful on 3 labelled vertices in R^2:", rep2.count_realizable,
       "of", 2 ** 3)
 
 rep42 = count_faithful(4, 2, cfg=cfg)
-k4 = rep42.entries[-1]  # the last mask has every edge
+# the last mask has every edge; its class row is (status, method, residual, rule)
+k4_status, _, _, k4_rule = rep42.classes[int(rep42.canon[-1])]
 print("faithful on 4 labelled vertices in R^2:", rep42.count_realizable,
-      "of", 2 ** 6, "- K_4 is", k4.status, "by rule", k4.rule["rule"])
+      "of", 2 ** 6, "- K_4 is", k4_status, "by rule", k4_rule["rule"])
 
 rep2d = count_distance(3, 2, cfg=cfg)
 print("distance  on 3 labelled vertices in R^2:", rep2d.count_realizable)

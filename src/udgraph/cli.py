@@ -55,10 +55,10 @@ def _read_text(path: str | None) -> str:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    """text, ended by one newline if it has none, to the file at path or stdout."""
+    text = text if text.endswith("\n") else text + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -248,7 +248,7 @@ def _cmd_plot(args) -> int:
         parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="crimson"/>')
         parts.append(f'<text x="{x + 6:.2f}" y="{y - 6:.2f}" font-size="11">{i}</text>')
     parts.append("</svg>")
-    _write_text(args.output, "\n".join(parts) + "\n")
+    _write_text(args.output, "\n".join(parts))
     return 0
 
 

@@ -18,10 +18,8 @@ Three constructions live here:
   dimension >= 1) and passes the result through verify.accepts; only then
   does _b_cluster_ok certify the cluster. A center or poles are taken as
   their group is reached; the rest are rejection sampled for a real margin
-  between every non-edge and unit length, with one scalar draw first and then
-  chunks of 2, 4, 8, ... draws screened at once on the same rng stream; a
-  locus that one point keeps inside its margin gives up after that first
-  draw.
+  between every non-edge and unit length, one draw at a time; a locus that
+  one point keeps inside its margin gives up after the first draw.
 
 Norms and means are written as the expressions np.linalg.norm and
 ndarray.mean evaluate, as in geometry: the same bits without the wrappers.
@@ -383,27 +381,19 @@ def _margins_ok(y: np.ndarray, others: np.ndarray) -> bool:
 def _sphere_sample(locus: Sphere, others: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray | None:
     """The first of up to 200 sphere_point draws on locus that passes
-    _margins_ok against others, or None; rng ends where drawing them one at
-    a time would leave it, unless a chunk draws a normal shorter than 1e-12,
-    which sphere_point would redraw (at most about 5e-25 per draw on a locus
-    of two or more basis rows).
+    _margins_ok against others, or None.
 
-    The first draw is sphere_point itself. After a miss, a row p of others
-    whose squared distance over the whole locus, |c - p|^2 + R^2 +- 2R |basis
-    (c - p)|, stays 1e-9 inside p's unit margin or below _WORKING_SEP fails
-    every draw: the other 199 normals are drawn at once and None is returned.
-    Otherwise the rest come in chunks of 2, 4, 8, ... rows of one rng.normal
-    call, which yields the same normals as that many sphere_point calls. A
-    chunk is screened against others in one array, with 1e-9 of slack for
-    the batched product's rounding; the rows that pass are recomputed with
-    sphere_point's own expression and retested in draw order, and after an
-    accepted row rng is rewound to the chunk's start and redraws only the
-    rows up to it.
+    After a miss on the first draw, a row p of others whose squared distance
+    over the whole locus, |c - p|^2 + R^2 +- 2R |basis (c - p)|, stays 1e-9
+    inside p's unit margin or below _WORKING_SEP fails every draw: the other
+    199 normals are drawn at once and None is returned. rng then ends where
+    199 more sphere_point calls would leave it, unless one of those normals
+    is shorter than 1e-12, which sphere_point would redraw (at most about
+    5e-25 per draw on a locus of two or more basis rows).
     """
     y = sphere_point(locus, rng)
     if _margins_ok(y, others):
         return y
-    k = len(locus.basis)
     rel = locus.center - others  # |y - p|^2 = |rel|^2 + R^2 + 2R u.(basis rel), |u| = 1
     mid = (rel * rel).sum(axis=1) + locus.radius ** 2
     along = rel @ locus.basis.T
@@ -411,28 +401,10 @@ def _sphere_sample(locus: Sphere, others: np.ndarray,
     if np.any(((mid - half > (1.0 - _SAMPLE_MARGIN + 1e-9) ** 2)
                & (mid + half < (1.0 + _SAMPLE_MARGIN - 1e-9) ** 2))
               | (mid + half < (_WORKING_SEP - 1e-9) ** 2)):
-        rng.normal(size=(199, k))  # no draw can pass: leave rng where 199 more would
+        rng.normal(size=(199, len(locus.basis)))  # no draw can pass
         return None
-    left, size = 199, 2
-    while left:
-        size = min(size, left)
-        state = rng.bit_generator.state
-        g = rng.normal(size=(size, k))
-        unit = g / np.sqrt(np.add.reduce(g * g, axis=1))[:, None]
-        ys = locus.center + locus.radius * (unit @ locus.basis)
-        diff = ys[:, None] - others[None]
-        dd = np.sqrt(np.add.reduce(diff * diff, axis=2))
-        screen = ((dd.min(axis=1) >= _WORKING_SEP - 1e-9)
-                  & (np.abs(dd - 1.0).min(axis=1) >= _SAMPLE_MARGIN - 1e-9))
-        for j in np.flatnonzero(screen):
-            y = locus.center + locus.radius * (locus.basis.T @ (g[j] / np.sqrt(g[j].dot(g[j]))))
-            if _margins_ok(y, others):
-                rng.bit_generator.state = state
-                rng.normal(size=(j + 1, k))
-                return y
-        left -= size
-        size *= 2
-    return None
+    draws = (sphere_point(locus, rng) for _ in range(199))
+    return next((y for y in draws if _margins_ok(y, others)), None)
 
 
 def _loci(nbs, bpts: np.ndarray) -> dict:

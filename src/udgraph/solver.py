@@ -191,7 +191,7 @@ def _run_batch(x, rows, owner, bt, target, cfg: SolverConfig, settle) -> None:
         f = np.where(took, fn, f)
         lam = np.where(took, np.maximum(lam / 10.0, _LAMBDA_MIN), 10.0 * lam)
         out = (f == 0.0) | (~took & (f <= TOL_RESIDUAL)) | (lam >= _LAMBDA_MAX)
-        stale = moved > 0
+        stale = True
 
 
 def solve_many(graphs, d: int, cfg: SolverConfig | None = None, faithful: bool = True) -> list:

@@ -249,6 +249,8 @@ def _with_points(dim, points):
         pytest.param(["verify"], _with_points(1, [[0.0], [float("nan")]]), id="nan-points"),
         pytest.param(["verify"], _with_points(2, [[0.0, 0.0], [1.0]]), id="ragged-points"),
         pytest.param(["verify"], _with_points(5, [[1], []]), id="ragged-points-empty-row"),
+        pytest.param(["verify"], _with_points(2, 5), id="scalar-points"),
+        pytest.param(["verify"], _with_points(2, [1.0, 2.0]), id="flat-points"),
         pytest.param(["verify"], _with_points(3, [[0.0, 0.0], [1.0, 0.0]]), id="dim-mismatch"),
         pytest.param(["verify"], _with_points(2, [[0, 0], [True, 0]]), id="boolean-coordinate"),
         pytest.param(["verify"], _with_points(1, [[0], [10**400]]), id="huge-integer-coordinate"),
@@ -494,6 +496,16 @@ def test_numeric_realize_of_k4_in_the_plane_exits_1(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["status"] == "NOT_FOUND"
     assert doc["restarts_used"] == 200 and doc["embedding"] is None
+
+
+def test_output_files_end_in_one_newline_like_stdout(capsys, monkeypatch, tmp_path):
+    graph, emb = tmp_path / "g.json", tmp_path / "e.json"
+    _, graph_json, _ = _run(capsys, monkeypatch, ["gen", "complete", "3"])
+    assert _run(capsys, monkeypatch, ["gen", "complete", "3", "-o", str(graph)])[0] == 0
+    assert graph.read_bytes() == graph_json.encode() and graph_json.endswith("}\n")
+    code, _, _ = _run(capsys, monkeypatch, ["realize", "--graph", str(graph),
+                                            "--method", "colorable", "-o", str(emb)])
+    assert code == 0 and emb.read_bytes().endswith(b"]]}\n")
 
 
 def test_verify_reads_graph_and_embedding_files(capsys, monkeypatch, tmp_path):

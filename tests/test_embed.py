@@ -136,6 +136,8 @@ def test_embedding_from_json_rejects_non_numeric_coordinates(points):
     (2, [[0, 0], [1]], "embedding 'points' rows differ in length"),
     (5, [[1], []], "embedding 'points' rows differ in length"),
     (3, [[0, 0], [1, 0]], "points are 2-dimensional, dim says 3"),
+    (2, 5, "embedding 'points' must be a 2-D list"),
+    (2, [1.0, 2.0], "embedding 'points' must be a 2-D list"),
 ])
 def test_embedding_from_json_names_a_points_shape_error(dim, points, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -577,11 +579,11 @@ def _placement_cases():
 
 
 class _NormalRecorder:
-    """A Generator stand-in that records the size of every normal draw."""
+    """A Generator stand-in that records the size of every normal draw; it
+    has no bit_generator, so a sampler that saves or rewinds rng state fails."""
 
     def __init__(self, rng):
         self.rng, self.sizes = rng, []
-        self.bit_generator = rng.bit_generator
 
     def normal(self, size):
         self.sizes.append(size)
@@ -589,8 +591,9 @@ class _NormalRecorder:
 
 
 def test_place_on_spheres_matches_loop_reference(monkeypatch):
-    # the batched screen keeps the one-draw-at-a-time loop's points, verdicts
-    # and rng stream bit for bit, after a failure as after a success
+    # the sampler with its hopeless-locus exit keeps the one-draw-at-a-time
+    # loop's points, verdicts and rng stream bit for bit, after a failure as
+    # after a success
     draws: list = []
     exits: list = []  # per sampled vertex: did its search end after one draw?
 
@@ -610,7 +613,7 @@ def test_place_on_spheres_matches_loop_reference(monkeypatch):
             assert list(got) == list(want)
             assert all(np.array_equal(got[v], want[v]) for v in want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-    # the cases reach past the first chunks and exhaust the whole budget,
+    # the cases reach past the tenth draw and exhaust the whole budget,
     # and some loci that one point keeps inside its margin end at once
     assert any(10 < t <= 200 for t in draws)
     assert 201 in draws

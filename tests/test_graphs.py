@@ -55,6 +55,8 @@ def test_kprime_family():
 def test_kprime_rejects_small():
     with pytest.raises(ValueError):
         make_kprime(2)
+    with pytest.raises(ValueError, match="^d must be at least 3$"):
+        make_kdoubleprime(2)
 
 
 def test_edge_count_families():
