@@ -28,10 +28,8 @@ faithful on the line and so in every R^d.
 
 from __future__ import annotations
 
-import gc
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
@@ -284,19 +282,6 @@ class GraphEntry(NamedTuple):
     rule: dict | None = None  # the refuting {"rule", "params"} of a CERTIFIED_RULE entry
 
 
-@contextmanager
-def _collector_paused():
-    """The cyclic collector off, then back as it was: a report's many fresh
-    lists and dicts hold no cycles, yet would set it off again and again."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 @dataclass(frozen=True, eq=False)
 class CensusReport:
     """Classification of the labelled graphs on n vertices in R^d.
@@ -356,25 +341,31 @@ class CensusReport:
         """True when every class is oracle-backed (counts carry no uncertainty)."""
         return all(row[1] == METHOD_EXACT for row in self.classes.values())
 
-    @_collector_paused()
+    def _summary(self) -> dict:
+        """Every top-level field of the report but its entries."""
+        return {"n": self.n, "d": self.d, "semantics": self.semantics,
+                "count_realizable": self.count_realizable,
+                "count_presumed_not": self.count_presumed_not,
+                "count_refuted": self.count_refuted, "exact": self.exact, "config": self.config}
+
     def to_dict(self) -> dict:
         rows = {rep: dict(zip(GraphEntry._fields[2:], row)) for rep, row in self.classes.items()}
-        return {
-            "n": self.n,
-            "d": self.d,
-            "semantics": self.semantics,
-            "count_realizable": self.count_realizable,
-            "count_presumed_not": self.count_presumed_not,
-            "count_refuted": self.count_refuted,
-            "exact": self.exact,
-            "config": self.config,
-            "entries": [{"mask": mask, "edges": list(map(list, edges)), **rows[rep]}
-                        for mask, edges, rep in self._labelled()],
-        }
+        return {**self._summary(),
+                "entries": [{"mask": mask, "edges": list(map(list, edges)), **rows[rep]}
+                            for mask, edges, rep in self._labelled()]}
 
-    @_collector_paused()
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        """json.dumps(to_dict(), sort_keys=True), written like to_csv: each
+        class's row is formatted once, and no dict is built per labelled graph."""
+        tails = {rep: json.dumps(dict(zip(GraphEntry._fields[2:], row)), sort_keys=True)[1:]
+                 for rep, row in self.classes.items()}
+        entries = ", ".join(
+            '{"edges": [' + ", ".join(f"[{u}, {v}]" for u, v in edges) + f'], "mask": {mask}, '
+            + tails[rep] for mask, edges, rep in self._labelled())
+        fields = {**self._summary(), "entries": None}
+        return "{" + ", ".join(
+            f'"{key}": ' + (f"[{entries}]" if key == "entries" else json.dumps(value, sort_keys=True))
+            for key, value in sorted(fields.items())) + "}"
 
     def to_csv(self) -> str:
         tails = {rep: ",".join((status, method,

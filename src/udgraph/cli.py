@@ -68,8 +68,13 @@ def _read_doc(path: str | None) -> tuple:
     """(graph or None, embedding or None) from the document at path or on
     stdin. A dict with an "embedding" key is a combined document, whose
     graph is optional; a dict with "dim" or "points" is an embedding; anything
-    else is read as a graph. A malformed part raises ValueError."""
-    doc = json.loads(_read_text(path))
+    else is read as a graph. A malformed part, or a document nested too
+    deeply to parse, raises ValueError."""
+    text = _read_text(path)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("the document is nested too deeply to parse") from None
     if isinstance(doc, dict) and "embedding" in doc:
         g = graph_from_dict(doc["graph"]) if "graph" in doc else None
         return g, embedding_from_dict(doc["embedding"])

@@ -461,7 +461,7 @@ def place_on_spheres(nbhds: dict, bpts: np.ndarray,
     groups = _grouped(sorted(nbhds), nbhds.get)
     loci = _loci(groups, bpts)
     sampled = []
-    for nb, verts in sorted(groups.items(), key=lambda kv: kv[1]):
+    for nb, verts in groups.items():  # built over sorted vertices: first-vertex order
         locus = loci.get(nb)
         if locus is None and nb:
             return None

@@ -19,7 +19,13 @@ from udgraph.audit import (
     lemedge_bound,
 )
 from udgraph.census import _canonical_masks, _graph_of_mask
-from udgraph.embed import MARGIN_NONEDGE, HSystem, _conditions_hold, _hsystem_cloud
+from udgraph.embed import (
+    MARGIN_NONEDGE,
+    HSystem,
+    RealizationError,
+    _conditions_hold,
+    _hsystem_cloud,
+)
 from udgraph.graphs import (
     Graph,
     make_complete,
@@ -240,23 +246,30 @@ def test_audit_kprime_tight_dimensions():
     assert verify(make_kprime(4), r.embedding, mode="faithful", tol=1e-7).passed
 
 
-def test_construct_side_goes_past_a_failed_realization(monkeypatch):
+@pytest.mark.parametrize("refused", ["cloud", "check"])
+def test_construct_side_goes_past_a_failed_realization(monkeypatch, refused):
     # each attempt draws one cloud; its H-system check runs once a witness is
-    # placed on it, and a refused check sends the construction to the next seed
+    # placed on it. A draw that raises RealizationError, or a refused check,
+    # sends the construction to the next seed
     seeds, checked = [], []
 
     def draw(h, eps, seed):
         seeds.append(seed)
+        if refused == "cloud" and len(seeds) == 1:
+            raise RealizationError("no distinct cap points")
         return _hsystem_cloud(h, eps, seed)
 
     def fail_first(points, conditions):
         checked.append(seeds[-1])
-        return len(checked) > 1 and _conditions_hold(points, conditions)
+        return (refused == "cloud" or len(checked) > 1) and _conditions_hold(points, conditions)
 
     monkeypatch.setattr(audit, "_hsystem_cloud", draw)
     monkeypatch.setattr(audit, "_conditions_hold", fail_first)
     r = faithful_dim_audit(make_kprime(4), 5)
-    assert checked[:2] == seeds[:2]  # attempt 0 was placed, then refused at its check
+    if refused == "check":
+        assert checked[:2] == seeds[:2]  # attempt 0 was placed, then refused at its check
+    else:
+        assert checked[0] == seeds[1]  # attempt 0 never reached its check
     assert seeds[:2] == [seeds[0], seeds[0] + 1]
     assert r.verdict == "REALIZABLE"
     assert verify(make_kprime(4), r.embedding, mode="faithful", tol=1e-7).passed

@@ -1,5 +1,6 @@
 """Census counting, exact oracles, and the Ramsey-style lower bound."""
 
+import gc
 import hashlib
 import json
 import math
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from udgraph.census import (
+    CensusReport,
     _canonical_masks,
     _graph_of_mask,
     _plane_rhombus,
@@ -168,12 +170,13 @@ def test_census_json_pins_the_solver_config():
         "restarts": 7, "max_iters": 9, "tol_residual": 1e-12, "margin_nonedge": 1e-3, "seed": 3}
 
 
-@pytest.mark.parametrize("n, d", [(4, 1), (4, 2)])
+@pytest.mark.parametrize("n, d", [(1, 1), (4, 1), (4, 2)])
 def test_census_json_is_one_line_of_the_report_dict(n, d):
     r = count_faithful(n, d, _FAST)
     text = r.to_json()
     assert "\n" not in text
     assert json.loads(text) == r.to_dict()
+    assert text == json.dumps(r.to_dict(), sort_keys=True)
 
 
 def test_census_bytes_are_pinned():
@@ -250,6 +253,32 @@ def test_writers_read_the_class_rows_not_the_entries():
         {**e._asdict(), "edges": [list(p) for p in e.edges]} for e in r.entries]
     assert csv.splitlines()[-1] == (
         "n5-mask1023,0-1 0-2 0-3 0-4 1-2 1-3 1-4 2-3 2-4 3-4,NOT_REALIZABLE,CERTIFIED_RULE,,simplex")
+
+
+def test_to_json_builds_no_dict_per_labelled_graph(monkeypatch, census6):
+    # to_json writes its text from the class rows alone, so the pinned bytes
+    # come out with the dict view out of reach
+    def refuse(self):
+        raise AssertionError("to_json called to_dict")
+
+    monkeypatch.setattr(CensusReport, "to_dict", refuse)
+    assert hashlib.sha256(count_faithful(4, 2).to_json().encode()).hexdigest() == (
+        "9d39358b44618d15225aa80ab7706d78b8d77cea3a757278cb656b69d41f1b34")
+    assert hashlib.sha256(census6[2].to_json().encode()).hexdigest() == (
+        _REPORT_DIGESTS["faithful", 6][0])
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_writers_leave_the_garbage_collector_as_it_was(enabled):
+    r = count_faithful(4, 2, _FAST)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for write in (r.to_json, r.to_dict, r.to_csv):
+            write()
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_count_distance_small_cases():

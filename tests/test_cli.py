@@ -233,6 +233,10 @@ _LONG_EDGE = {"graph": _GRAPH_OK, "embedding": {"dim": 1, "points": [[0.0], [5.0
 _HUGE_N = (MAX_DOCUMENT_N + 1, 10**9)
 
 
+class _Text(str):
+    """A stdin document given as its text, not as a value to dump."""
+
+
 def _with_points(dim, points):
     return {"graph": _GRAPH_OK, "embedding": {"dim": dim, "points": points}}
 
@@ -303,10 +307,14 @@ def _with_points(dim, points):
           for argv in (["verify"], ["plot", "-o", os.devnull], ["audit", "--dim", "2"],
                        ["realize", "--method", "colorable"])
           for n in _HUGE_N),
+        # nested past the parser's recursion limit: an input error, not a FAIL
+        *(pytest.param(argv, _Text("[" * 100_000), id=f"{argv[0]}-nested-too-deeply")
+          for argv in (["verify"], ["realize", "--method", "colorable"])),
     ],
 )
 def test_malformed_document_exits_2(capsys, monkeypatch, argv, doc):
-    code, out, err = _run(capsys, monkeypatch, argv, stdin_text=json.dumps(doc))
+    text = doc if isinstance(doc, _Text) else json.dumps(doc)
+    code, out, err = _run(capsys, monkeypatch, argv, stdin_text=text)
     assert code == 2
     assert out == ""
     assert err.startswith("udgraph: error:")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from udgraph import geometry
 from udgraph.geometry import (
     TOL_RANK,
+    Sphere,
     affine_rank,
     affine_ranks,
     as_points,
@@ -130,6 +131,18 @@ def test_sphere_point_lands_on_sphere_deterministically():
     b = sphere_point(comp, np.random.default_rng(11))
     np.testing.assert_array_equal(a, b)
     assert np.linalg.norm(a - comp.center) == pytest.approx(comp.radius, abs=1e-9)
+
+
+def test_sphere_point_on_a_one_point_sphere_is_its_center():
+    # an empty basis leaves no direction to draw: without the early return the
+    # redraw loop would wait forever for a normal longer than 1e-12
+    point = Sphere(np.array([1.0, -2.0, 0.5]), 0.0, np.zeros((0, 3)))
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    y = sphere_point(point, rng)
+    np.testing.assert_array_equal(y, point.center)
+    assert y is not point.center
+    assert rng.bit_generator.state == state  # nothing drawn
 
 
 def test_pairwise_distances_matches_manual():

@@ -57,6 +57,8 @@ def test_kprime_rejects_small():
         make_kprime(2)
     with pytest.raises(ValueError, match="^d must be at least 3$"):
         make_kdoubleprime(2)
+    with pytest.raises(ValueError, match="^d must be positive$"):
+        make_remark_graph(0)
 
 
 def test_edge_count_families():
